@@ -8,9 +8,9 @@ from benchmarks.conftest import emit
 from repro.core.analysis import acceptance_probability, permutation_acceptance
 from repro.core.config import EDNParams
 from repro.experiments.base import ExperimentResult
+from repro.sim.batched import BatchedEDN
 from repro.sim.montecarlo import measure_acceptance
 from repro.workloads import PermutationTraffic
-from repro.sim.vectorized import VectorizedEDN
 
 CONFIGS = [(16, 4, 4, 1), (16, 4, 4, 2), (16, 4, 4, 3), (8, 2, 4, 3), (64, 16, 4, 2)]
 
@@ -26,10 +26,11 @@ def run(cycles: int = 80, seed: int = 0) -> ExperimentResult:
         analytic = permutation_acceptance(params, 1.0)
         uniform = acceptance_probability(params, 1.0)
         measured = measure_acceptance(
-            VectorizedEDN(params),
+            BatchedEDN(params),
             PermutationTraffic(params.num_inputs, params.num_outputs),
             cycles=cycles,
             seed=seed,
+            batch=1,
         )
         rows.append(
             [str(params), uniform, analytic, measured.point,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.baselines import CrossbarNetwork
 from repro.core.config import EDNParams
-from repro.sim import HotspotTraffic, VectorizedEDN, measure_acceptance
+from repro.sim import BatchedEDN, HotspotTraffic, measure_acceptance
 from repro.viz import Series, format_table, render_plot
 
 SIZE = 256
@@ -24,9 +24,9 @@ HOT_FRACTIONS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3)
 
 def main() -> None:
     networks = [
-        ("delta (1 path)", VectorizedEDN(EDNParams(16, 16, 1, 2))),
-        ("EDN 16 paths", VectorizedEDN(EDNParams(32, 8, 4, 2))),
-        ("EDN 64 paths", VectorizedEDN(EDNParams(16, 4, 4, 3))),
+        ("delta (1 path)", BatchedEDN(EDNParams(16, 16, 1, 2))),
+        ("EDN 16 paths", BatchedEDN(EDNParams(32, 8, 4, 2))),
+        ("EDN 64 paths", BatchedEDN(EDNParams(16, 4, 4, 3))),
         ("crossbar", CrossbarNetwork(SIZE)),
     ]
     curves: dict[str, list[tuple[float, float]]] = {}

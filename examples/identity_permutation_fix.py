@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import EDNParams, RetirementOrder
-from repro.sim import PermutationTraffic, VectorizedEDN, measure_acceptance
-from repro.sim.traffic import structured_permutation
+from repro.sim import BatchedEDN, PermutationTraffic, measure_acceptance
+from repro.workloads import structured_permutation
 from repro.viz import format_table
 
 PATTERNS = ("identity", "reversal", "bit_reversal", "shuffle", "transpose", "butterfly")
@@ -27,9 +27,9 @@ PATTERNS = ("identity", "reversal", "bit_reversal", "shuffle", "transpose", "but
 
 def main() -> None:
     params = EDNParams(64, 16, 4, 2)
-    canonical = VectorizedEDN(params)
+    canonical = BatchedEDN(params)
     order = RetirementOrder.reversed_order(params.l)
-    modified = VectorizedEDN(params, retirement_order=order)
+    modified = BatchedEDN(params, retirement_order=order)
     fixup = order.fixup_permutation(params)
     rng = np.random.default_rng(0)
 

@@ -27,7 +27,7 @@ from repro import (
     cost_report,
     count_paths,
 )
-from repro.sim import UniformTraffic, VectorizedEDN, measure_acceptance
+from repro.sim import BatchedEDN, UniformTraffic, measure_acceptance
 from repro.viz import render_network
 
 
@@ -70,7 +70,7 @@ def main() -> None:
 
     # 5. Monte-Carlo with confidence intervals. -----------------------------
     measurement = measure_acceptance(
-        VectorizedEDN(params),
+        BatchedEDN(params),
         UniformTraffic(params.num_inputs, params.num_outputs, rate=1.0),
         cycles=300,
         seed=1,

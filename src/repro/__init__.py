@@ -13,8 +13,8 @@ The package is organized as:
   routing, path enumeration, cost models, and the analytic acceptance
   models (Eqs. 2-5 of the paper);
 * :mod:`repro.sim` — simulation substrate: discrete-event kernel, seeded
-  RNG streams, statistics, a vectorized network engine and Monte-Carlo
-  harnesses;
+  RNG streams, statistics, the compiled stage-graph router and
+  Monte-Carlo harnesses;
 * :mod:`repro.workloads` — the pluggable traffic-model subsystem: the
   ``TrafficGenerator`` protocol, the built-in models (uniform,
   permutation, hot-spot/NUTS, bursty, mixture, trace replay, structured

@@ -11,10 +11,11 @@ The canonical way to construct and drive *any* network in the repository:
 4. :func:`measure` goes straight from spec to an acceptance measurement.
 
 Every engine in the repo sits behind the same protocol — the reference
-per-message EDN, the vectorized and batched array EDNs, fault-injected
-networks, and the delta/omega/crossbar/Clos/Beneš baselines — selected by
-the string-keyed backend registry (``backend="auto"`` picks batched
-engines where available and falls back to the per-cycle loop).
+per-message EDN, the compiled stage-graph router (every EDN and
+delta-family network, fault-injected or not), the per-cycle stage-graph
+interpreter, and the crossbar/Clos/Beneš baselines — selected by the
+string-keyed backend registry (``backend="auto"`` picks batched engines
+where available and falls back to the per-cycle loop).
 
 Quickstart::
 

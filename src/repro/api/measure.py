@@ -38,7 +38,7 @@ def measure(
     silently ignored (encode rates inside the spec: ``"uniform:0.5"``).
 
     Repeated calls for equal specs are cheap: ``build_router`` constructs
-    engines that share compiled :class:`~repro.sim.plan.RoutingPlan`
+    engines that share compiled :class:`~repro.sim.plan.StagePlan`
     tables through the keyed plan cache, and ``config.rel_err`` turns the
     cycle budget into a ceiling with adaptive early stopping (see
     ``docs/PERFORMANCE.md``).

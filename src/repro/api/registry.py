@@ -18,26 +18,20 @@ name           engine                                   kinds
                toolchain, and drops out of the
                registry when neither is present
 ``batched``    native ``(batch, N)`` array engines —    edn, delta,
-               :class:`BatchedEDN` plus the compiled    omega, dilated,
-               stage-graph router every delta-family    crossbar
-               baseline compiles to
-               (:class:`CompiledStageRouter`), and
-               the batched crossbar
-``vectorized`` per-cycle array engines behind the       edn, delta,
-               automatic batch loop — the independent   omega, dilated,
-               cross-check path (the stage-graph        crossbar
-               kinds use the sort-based
+               the compiled stage-graph router every    omega, dilated,
+               EDN and delta-family network compiles    crossbar
+               to (:class:`CompiledStageRouter`),
+               and the batched crossbar
+``vectorized`` per-cycle engines behind the automatic   edn, delta,
+               batch loop — the independent             omega, dilated,
+               cross-check path (the sort-based         crossbar
                :class:`StageGraphReference`
-               interpreter)
+               interpreter, and the crossbar)
 ``reference``  the per-message reference engine         edn
                (non-default wire policies; faulted
                EDNs via :class:`FaultyEDNetwork`)
 ``matching``   Clos matching decomposition              clos
 ``looping``    Beneš looping algorithm                  benes
-``native:gpu`` Array-API counts-only kernel (CuPy       edn, delta,
-               when importable, NumPy otherwise);       omega, dilated
-               explicit opt-in, never picked by
-               ``auto``
 =============  =======================================  =================
 
 ``auto`` picks the first supporting backend in :data:`AUTO_PREFERENCE`
@@ -83,7 +77,7 @@ class Backend:
     optional dependency, no toolchain) as a message, or ``None`` when
     the backend can run here; ``auto_ok`` additionally gates whether
     ``auto`` may pick the backend (an available backend can still opt
-    out of automatic selection, e.g. the GPU path).
+    out of automatic selection).
     """
 
     name: str
@@ -258,17 +252,12 @@ def _label_only(spec: NetworkSpec) -> bool:
 )
 def _build_batched(spec: NetworkSpec) -> Router:
     from repro.baselines.crossbar_network import CrossbarNetwork
-    from repro.sim.batched import BatchedEDN, CompiledStageRouter
+    from repro.sim.batched import CompiledStageRouter
 
-    if spec.kind == "edn" and not spec.faults:
-        return BatchedEDN(spec.edn_params, priority=spec.priority)
     if spec.kind == "crossbar":
         return CrossbarNetwork(*spec.shape, priority=spec.priority)
-    # Every delta-family baseline compiles to the same plan-cached
-    # stage-graph kernels; the spec carries the topology as data.  A
-    # faulted EDN also routes here: the graph kernels are where the
-    # fault masks are lowered, and the EDN-specialized engine stays
-    # fault-free.
+    # Every stage-graph kind compiles to the same plan-cached kernels;
+    # the spec carries the topology (and its fault masks) as data.
     return CompiledStageRouter(
         spec.stage_graph(), priority=spec.priority, faults=spec.faults
     )
@@ -284,10 +273,7 @@ def _build_batched(spec: NetworkSpec) -> Router:
 def _build_vectorized(spec: NetworkSpec) -> Router:
     from repro.baselines.crossbar_network import CrossbarNetwork
     from repro.sim.stagegraph import StageGraphReference
-    from repro.sim.vectorized import VectorizedEDN
 
-    if spec.kind == "edn" and not spec.faults:
-        return PerCycleRouter(VectorizedEDN(spec.edn_params, priority=spec.priority))
     if spec.kind == "crossbar":
         return PerCycleRouter(CrossbarNetwork(*spec.shape, priority=spec.priority))
     # The sort-based per-cycle interpreter behind the generic batch loop:
@@ -390,27 +376,4 @@ def _build_native(spec: NetworkSpec) -> Router:
     # inherits the full batched capability surface for everything else.
     return NativeStageRouter(
         spec.stage_graph(), priority=spec.priority, faults=spec.faults
-    )
-
-
-def _native_gpu_ok(spec: NetworkSpec) -> bool:
-    # The Array-API counts path lowers neither fault masks nor random
-    # priority yet; keep the capability gate explicit so the resolver's
-    # error names the fault-capable alternatives.
-    return _array_engine_ok(spec) and spec.priority == "label" and not spec.faults
-
-
-@register_backend(
-    "native:gpu",
-    description="Array-API counts kernel (CuPy when present, NumPy otherwise)",
-    kinds={"edn", "delta", "omega", "dilated"},
-    batched=True,
-    accepts=_native_gpu_ok,
-    auto_ok=lambda: False,
-)
-def _build_native_gpu(spec: NetworkSpec) -> Router:
-    from repro.sim.native import NativeStageRouter
-
-    return NativeStageRouter(
-        spec.stage_graph(), priority=spec.priority, device="gpu"
     )

@@ -29,7 +29,7 @@ IDLE = -1
 
 @dataclass
 class CrossbarCycleResult:
-    """Outcome arrays matching the vectorized-EDN result protocol.
+    """Outcome arrays matching the stage-graph router's result protocol.
 
     Holds one cycle (1-D arrays, from :meth:`CrossbarNetwork.route`) or a
     whole batch (2-D ``(batch, n)`` arrays, from
@@ -72,7 +72,7 @@ class CrossbarNetwork:
     """An ``n_inputs x n_outputs`` crossbar with output contention only.
 
     Satisfies the same router protocol as
-    :class:`~repro.sim.vectorized.VectorizedEDN`, so the Monte-Carlo
+    :class:`~repro.sim.batched.CompiledStageRouter`, so the Monte-Carlo
     harness and experiment code treat it interchangeably.
 
     >>> import numpy as np

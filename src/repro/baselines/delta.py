@@ -22,10 +22,14 @@ import numpy as np
 from repro.core.analysis import delta_acceptance
 from repro.core.config import EDNParams
 from repro.core.cost import crosspoint_cost, wire_cost
-from repro.sim.batched import BatchAcceptanceCounts, BatchCycleResult, CompiledStageRouter
+from repro.sim.batched import (
+    BatchAcceptanceCounts,
+    BatchCycleResult,
+    CompiledStageRouter,
+    VectorCycleResult,
+)
 from repro.sim.rng import SeedLike, as_generator
 from repro.sim.stagegraph import StageGraph, delta_graph
-from repro.sim.vectorized import VectorCycleResult
 
 __all__ = ["DeltaNetwork"]
 

@@ -20,10 +20,14 @@ from repro.core.analysis import delta_acceptance
 from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.core.labels import ilog2, is_power_of_two
-from repro.sim.batched import BatchAcceptanceCounts, BatchCycleResult, CompiledStageRouter
+from repro.sim.batched import (
+    BatchAcceptanceCounts,
+    BatchCycleResult,
+    CompiledStageRouter,
+    VectorCycleResult,
+)
 from repro.sim.rng import SeedLike, as_generator
 from repro.sim.stagegraph import StageGraph, omega_graph
-from repro.sim.vectorized import VectorCycleResult
 
 __all__ = ["OmegaNetwork"]
 
@@ -61,7 +65,7 @@ class OmegaNetwork:
         return self.n
 
     def route(self, dests: np.ndarray, rng: SeedLike = None) -> VectorCycleResult:
-        """Route one cycle; semantics match the vectorized EDN result.
+        """Route one cycle; outcome arrays as in :class:`VectorCycleResult`.
 
         ``rng`` accepts anything seed-like (``int``/``SeedSequence``/
         ``Generator``); ``None`` falls back to the constructor's ``seed``

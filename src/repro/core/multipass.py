@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, RoutingError
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.batched import CompiledStageRouter
 
 __all__ = ["MultipassResult", "route_permutation_multipass"]
 
@@ -42,7 +42,7 @@ class MultipassResult:
 
 
 def route_permutation_multipass(
-    network: VectorizedEDN,
+    network: CompiledStageRouter,
     permutation: np.ndarray,
     *,
     max_passes: int = 10_000,

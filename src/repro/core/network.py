@@ -12,8 +12,8 @@ retries them from the cluster queues).
 This engine is the *reference* implementation: one switch object per
 hyperbar/crossbar, explicit wire labels, full path recording.  It is meant
 for correctness (Lemma 1 / Theorems 1-2 are tested against it) and for
-networks up to a few thousand terminals.  The vectorized engine in
-:mod:`repro.sim.vectorized` reproduces identical decisions with numpy for
+networks up to a few thousand terminals.  The compiled router in
+:mod:`repro.sim.batched` reproduces identical decisions with numpy for
 Monte-Carlo work at scale; an integration test pins the two to each other.
 """
 

@@ -25,10 +25,10 @@ from repro.api.spec import RunConfig
 from repro.core.config import EDNParams
 from repro.core.hyperbar import Hyperbar
 from repro.experiments.base import ExperimentResult
+from repro.sim.batched import BatchedEDN
 from repro.sim.montecarlo import measure_acceptance
 from repro.sim.rng import make_rng
 from repro.workloads import UniformTraffic
-from repro.sim.vectorized import VectorizedEDN
 from repro.simd.ra_edn import RAEDNSystem
 from repro.simd.schedule import LowestIndexSchedule, RandomSchedule, RoundRobinSchedule
 from repro.simd.simulator import RAEDNSimulator
@@ -54,8 +54,12 @@ def run_priority(
     )
     rows = []
     for discipline in ("label", "random"):
-        router = VectorizedEDN(params, priority=discipline)
-        measured = measure_acceptance(router, traffic, cycles=cycles, seed=seed)
+        router = BatchedEDN(params, priority=discipline)
+        # batch=1: one traffic draw per cycle, the stream this table was
+        # recorded under (chunked draws would change every sample).
+        measured = measure_acceptance(
+            router, traffic, cycles=cycles, seed=seed, batch=1
+        )
         # Fairness: per-input delivery counts over the same traffic.
         rng = make_rng(seed)
         delivered = np.zeros(params.num_inputs)

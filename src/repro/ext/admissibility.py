@@ -14,26 +14,31 @@ along the way is oversubscribed, a property of the demand pattern alone.
 
 Exhaustive censuses are exponential (``N!``); the functions below support
 both exhaustive enumeration for ``N <= 8`` and Monte-Carlo estimation above
-that.
+that.  Either way the permutations are routed in chunks, one
+``route_batch_counts`` call (one permutation per cycle row) per chunk.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from itertools import permutations as iter_permutations
 from math import factorial
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
+from repro.sim.batched import CompiledStageRouter
 from repro.sim.rng import make_rng
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["is_admissible", "admissible_fraction"]
 
 _EXHAUSTIVE_LIMIT = 8
 
+#: Demand entries per routed chunk of permutations.
+_CHUNK_ENTRIES = 1 << 16
 
-def is_admissible(network: VectorizedEDN, permutation: np.ndarray) -> bool:
+
+def is_admissible(network: CompiledStageRouter, permutation: np.ndarray) -> bool:
     """True iff ``permutation`` routes completely in one pass."""
     permutation = np.asarray(permutation, dtype=np.int64)
     if sorted(permutation.tolist()) != list(range(network.n_outputs)):
@@ -43,7 +48,7 @@ def is_admissible(network: VectorizedEDN, permutation: np.ndarray) -> bool:
 
 
 def admissible_fraction(
-    network: VectorizedEDN,
+    network: CompiledStageRouter,
     *,
     samples: int | None = None,
     seed: int | None = 0,
@@ -58,16 +63,21 @@ def admissible_fraction(
     n = network.n_inputs
     if network.n_outputs != n:
         raise ConfigurationError("admissibility census needs a square network")
-    if samples is None and n <= _EXHAUSTIVE_LIMIT:
-        good = 0
-        for perm in iter_permutations(range(n)):
-            if is_admissible(network, np.array(perm, dtype=np.int64)):
-                good += 1
-        return good / factorial(n), factorial(n)
-    if samples is None:
-        samples = 2_000
-    rng = make_rng(seed)
-    good = sum(
-        1 for _ in range(samples) if is_admissible(network, rng.permutation(n))
-    )
-    return good / samples, samples
+    exhaustive = samples is None and n <= _EXHAUSTIVE_LIMIT
+    if exhaustive:
+        population = factorial(n)
+    else:
+        population = 2_000 if samples is None else samples
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    sizes = [min(chunk, population - start) for start in range(0, population, chunk)]
+    if exhaustive:
+        perms = iter_permutations(range(n))
+        chunks = (np.array(list(islice(perms, k)), dtype=np.int64) for k in sizes)
+    else:
+        rng = make_rng(seed)
+        chunks = (np.stack([rng.permutation(n) for _ in range(k)]) for k in sizes)
+    good = 0
+    for batch in chunks:
+        counts = network.route_batch_counts(batch)
+        good += int(np.count_nonzero(counts.delivered_per_cycle == n))
+    return good / population, population

@@ -24,9 +24,9 @@ from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.mimd.memory import MemoryBank
 from repro.mimd.processor import ProcessorArray
+from repro.sim.batched import BatchedEDN
 from repro.sim.rng import make_rng
 from repro.sim.stats import Interval, batch_means
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["MIMDSystem", "MIMDMetrics"]
 
@@ -77,7 +77,7 @@ class MIMDSystem:
             raise ConfigurationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.params = params
         self.policy = policy
-        self.network = VectorizedEDN(params, priority=priority)
+        self.network = BatchedEDN(params, priority=priority)
         self.processors = ProcessorArray(
             params.num_inputs,
             params.num_outputs,

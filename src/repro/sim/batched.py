@@ -1,12 +1,14 @@
-"""Batched (multi-cycle) EDN routing engine.
+"""Batched (multi-cycle) routing on the compiled stage-graph core.
 
-:class:`~repro.sim.vectorized.VectorizedEDN` removes the per-*wire* Python
-loop; this module removes the per-*cycle* one.  A Monte-Carlo estimate
-needs thousands of independent routed cycles, and driving ``route`` from a
-Python loop leaves interpreter overhead, numpy dispatch, and many small
-sorts — not array math — dominating wall-clock time.  :class:`BatchedEDN`
-routes a whole ``(batch, N)`` demand matrix in one pass of array
-operations per stage.
+A Monte-Carlo estimate needs thousands of independent routed cycles, and
+driving a per-cycle router from a Python loop leaves interpreter
+overhead, numpy dispatch, and many small sorts — not array math —
+dominating wall-clock time.  :class:`CompiledStageRouter` routes a whole
+``(batch, N)`` demand matrix in one pass of array operations per stage,
+over any :class:`~repro.sim.stagegraph.StageGraph` (EDN, delta, omega,
+dilated delta) compiled into a cached :class:`~repro.sim.plan.StagePlan`.
+:class:`BatchedEDN` is the ``EDN(a, b, c, l)`` constructor of the same
+router.
 
 Two resolution strategies implement identical semantics:
 
@@ -15,20 +17,19 @@ Two resolution strategies implement identical semantics:
   ``(batch, wires)``, and the rank of each request within its
   ``(cycle, switch, bucket)`` contention group — which under label
   priority is just the count of lower-labelled same-bucket requests on the
-  same switch — falls out of a cumulative sum of bucket one-hots along the
-  switch axis.  All arrays use narrow dtypes (``int32`` frontier, ``int8``
-  counters), so a whole chunk of cycles costs a few streaming passes.
+  same switch — falls out of a prefix sum of packed bucket counters along
+  the switch axis.  All arrays use narrow dtypes, so a whole chunk of
+  cycles costs a few streaming passes.
 * **random priority** folds the batch (cycle) index into the contention
-  sort key with per-batch offsets, so the single-cycle engine's
-  grouped-rank trick works unchanged across cycles in one big ``argsort``.
+  sort key with per-batch offsets, so one batch-wide ``argsort`` resolves
+  every cycle's groups at once.
 
-Semantics are *bit-identical* to :class:`VectorizedEDN` per message: for
-every cycle ``i`` of the batch, ``route_batch(dests)[i]`` equals
-``VectorizedEDN.route(dests[i])`` under label priority, and under random
-priority too when each cycle is given its own generator (pass a sequence
-of per-cycle generators; the engine then draws each cycle's tie-break keys
-from its own stream exactly as the single-cycle engine would).  The
-cross-engine equivalence test pins this on randomized batches.
+Under random priority, passing a sequence of per-cycle generators draws
+each cycle's tie-break keys from its own stream exactly as a one-cycle
+:meth:`~CompiledStageRouter.route` call would, so results do not depend
+on chunking.  The equivalence tests pin every per-message outcome against
+the per-cycle :class:`~repro.sim.stagegraph.StageGraphReference` and the
+per-message :class:`~repro.core.network.EDNetwork`.
 """
 
 from __future__ import annotations
@@ -39,17 +40,24 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.labels import ilog2
-from repro.sim.vectorized import IDLE, VectorCycleResult, VectorizedEDN
+from repro.core.tags import RetirementOrder
+from repro.sim.stagegraph import edn_graph
 
 __all__ = [
+    "IDLE",
     "BatchedEDN",
     "CompiledStageRouter",
+    "VectorCycleResult",
     "BatchCycleResult",
     "BatchAcceptanceCounts",
     "validate_demand_matrix",
 ]
+
+#: Demand-vector marker of an idle input (and of a dead frontier wire).
+IDLE = -1
 
 #: Random-priority streams: one generator for the whole batch, or one per cycle.
 BatchRng = Union[np.random.Generator, Sequence[np.random.Generator], None]
@@ -93,8 +101,8 @@ def validate_demand_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a ``(batch, n_inputs)`` demand matrix for batched routing.
 
-    Shared by every batched router (:class:`BatchedEDN` and the batched
-    crossbar baseline) so the accepted input contract cannot drift between
+    Shared by every batched router (:class:`CompiledStageRouter` and the
+    batched crossbar baseline) so the accepted input contract cannot drift between
     engines.  Returns ``(dests, flat, live0)``: the matrix as contiguous
     ``int64``, its flat view, and the flat liveness mask.
     """
@@ -105,6 +113,39 @@ def validate_demand_matrix(
     return dests, flat, live0
 
 
+
+
+@dataclass
+class VectorCycleResult:
+    """Per-input outcome arrays for one routed cycle.
+
+    ``output[s]`` is the output terminal reached by source ``s`` (or ``-1``
+    if idle/blocked); ``blocked_stage[s]`` is ``0`` for delivered messages,
+    the 1-indexed blocking stage otherwise, and ``-1`` for idle inputs.
+    """
+
+    output: np.ndarray
+    blocked_stage: np.ndarray
+
+    @property
+    def num_offered(self) -> int:
+        return int((self.blocked_stage != IDLE).sum())
+
+    @property
+    def num_delivered(self) -> int:
+        return int((self.blocked_stage == 0).sum())
+
+    @property
+    def acceptance_ratio(self) -> float:
+        offered = self.num_offered
+        return 1.0 if offered == 0 else self.num_delivered / offered
+
+    def blocked_stage_histogram(self) -> dict[int, int]:
+        """Stage index -> number of requests discarded there."""
+        stages = self.blocked_stage[self.blocked_stage > 0]
+        values, counts = np.unique(stages, return_counts=True)
+        return {int(v): int(n) for v, n in zip(values, counts)}
+
 @dataclass
 class BatchCycleResult:
     """Per-input outcome arrays for a batch of independent cycles.
@@ -113,7 +154,7 @@ class BatchCycleResult:
     cycle ``i`` (``-1`` if idle/blocked); ``blocked_stage[i, s]`` is ``0``
     for delivered messages, the 1-indexed blocking stage otherwise, and
     ``-1`` for idle inputs — exactly the per-cycle convention of
-    :class:`~repro.sim.vectorized.VectorCycleResult`, stacked.
+    :class:`VectorCycleResult`, stacked.
     """
 
     output: np.ndarray
@@ -168,7 +209,7 @@ class BatchCycleResult:
 class BatchAcceptanceCounts:
     """Acceptance counters for a batch of cycles, without per-message detail.
 
-    Produced by :meth:`BatchedEDN.route_batch_counts` — everything the
+    Produced by :meth:`CompiledStageRouter.route_batch_counts` — everything the
     Monte-Carlo acceptance harness consumes, at a fraction of the cost of
     materializing per-message outcome arrays.
     """
@@ -178,767 +219,16 @@ class BatchAcceptanceCounts:
     blocked_by_stage: dict[int, int]
 
 
-class _DenseRankKernels:
-    """Shared contention-resolution kernels of the batched array engines.
-
-    Everything here is topology-agnostic: dense packed-lane in-bucket
-    ranking (label priority), the one-hot fallback for unpackable switch
-    shapes, the batch-folded grouped sort (random priority), and the
-    per-call scratch-buffer provider.  :class:`BatchedEDN` and
-    :class:`CompiledStageRouter` both mix these in, so the EDN engine and
-    every compiled baseline resolve contention through literally the same
-    code.
-
-    Consumers must provide a ``self._scratch`` dict (the per-instance
-    scratch fallback when no plan workspace is in play).
-    """
-
-    #: Bits per packed bucket counter; holds counts up to a = 64 wires.
-    _LANE_BITS = 8
-    _LANE_MASK = (1 << _LANE_BITS) - 1
-
-    def _scratch_array(self, name: str, size: int, dtype, ws=None) -> np.ndarray:
-        """A reusable uninitialized work buffer, keyed by role, size, dtype.
-
-        Chunked Monte-Carlo runs call the dense kernels thousands of times
-        with identical shapes; recycling the stage buffers (instead of
-        allocating ~10 arrays per stage) removes most allocator traffic
-        from the hot loop.  ``ws`` (a plan-provided
-        :class:`~repro.sim.plan.ChunkWorkspace`) carries the buffers
-        across engine instances; without one they are cached per instance
-        (the seed behavior).  Contents are never assumed to survive
-        between stages.
-        """
-        if ws is not None:
-            return ws.array(name, size, dtype)
-        key = (name, size, np.dtype(dtype).char)
-        arr = self._scratch.get(key)
-        if arr is None:
-            arr = np.empty(size, dtype=dtype)
-            self._scratch[key] = arr
-        return arr
-
-    def _dense_rank(
-        self,
-        dest: np.ndarray,
-        live: np.ndarray,
-        fan_in: int,
-        digit_bits: int,
-        shift: int,
-        capacity: int,
-        ws=None,
-        rank_dtype=None,
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Dense in-bucket ranking for one stage (the sort-free core).
-
-        ``dest`` holds the flat per-wire frontier of one stage (``fan_in``
-        wires per switch, ``-1`` marking dead wires, ``live`` its
-        precomputed liveness); each live wire requests bucket ``(dest >>
-        shift) & (2**digit_bits - 1)`` of its switch, and the first
-        ``capacity`` requests per bucket in wire-label order win.
-        ``digit_bits == 0`` degenerates to a single bucket per switch.
-
-        All buckets of a switch are counted at once: each wire contributes
-        ``1`` to an 8-bit lane selected by its bucket digit inside one
-        packed integer, an inclusive prefix sum along the switch's
-        ``fan_in`` wires accumulates every bucket's running occupancy
-        simultaneously, and shifting the wire's own lane back out yields
-        its 1-based rank — no sorting, no ``radix``-times-wider one-hot
-        tensor.  (Switch shapes that cannot pack — ``radix * 8`` bits
-        beyond an ``int64``, or ``fan_in`` overflowing a lane — take the
-        one-hot fallback.)
-
-        Returns ``(rank_incl, accepted, lane_shift, digit)``: dense
-        1-based in-bucket ranks (junk at dead wires), the dense acceptance
-        mask, and the digit information — ``lane_shift`` (``digit * 8``)
-        on the packed path, an explicit ``digit`` array on the fallback
-        path (the other is ``None``).  All returned arrays alias scratch
-        buffers: consume them before the next ``_dense_rank`` call.
-        """
-        radix = 1 << digit_bits
-        size = dest.size
-        lane_width = radix * self._LANE_BITS
-        # The top lane's running count must stay clear of the sign bit.
-        packable = fan_in <= self._LANE_MASK >> 1
-        if packable and lane_width <= 64:
-            # Fused digit-times-8 extraction: ((dest >> shift) & m) << 3
-            # == (dest >> (shift - 3)) & (m << 3), one temp fewer.
-            mask3 = (radix - 1) << 3
-            lane_shift = self._scratch_array("lane_shift", size, dest.dtype, ws)
-            if shift >= 3:
-                np.right_shift(dest, shift - 3, out=lane_shift)
-            else:
-                np.left_shift(dest, 3 - shift, out=lane_shift)
-            np.bitwise_and(lane_shift, mask3, out=lane_shift)
-            lane_dtype = np.int32 if lane_width <= 32 else np.int64
-            lanes = self._scratch_array("lanes", size, lane_dtype, ws)
-            # dtype= pins the ufunc loop itself to the lane width — with
-            # out= alone the shift would run in the promoted input dtype
-            # (int32) and overflow for high lanes.
-            np.left_shift(live, lane_shift, out=lanes, dtype=lane_dtype, casting="unsafe")
-            # Column-at-a-time prefix sum: one fully vectorized strided add
-            # per wire position beats np.cumsum's per-switch inner loops.
-            view = lanes.reshape(-1, fan_in)
-            for j in range(1, fan_in):
-                view[:, j] += view[:, j - 1]
-            if rank_dtype is not None and rank_dtype != lane_dtype:
-                # Unshift straight into the caller's narrow dtype so the
-                # downstream bucket-wire arithmetic runs pure-dtype SIMD
-                # loops (mixed-dtype ufuncs cost ~5x per pass).
-                rank_incl = self._scratch_array("rank", size, rank_dtype, ws)
-                np.right_shift(lanes, lane_shift, out=rank_incl, casting="unsafe")
-                np.bitwise_and(rank_incl, self._LANE_MASK, out=rank_incl)
-            else:
-                np.right_shift(lanes, lane_shift, out=lanes)
-                np.bitwise_and(lanes, self._LANE_MASK, out=lanes)
-                rank_incl = lanes
-            digit = None
-        else:
-            digit = self._scratch_array("digit", size, dest.dtype, ws)
-            if radix > 1:
-                np.right_shift(dest, shift, out=digit)
-                np.bitwise_and(digit, radix - 1, out=digit)
-            else:
-                digit.fill(0)
-            rank_incl = self._onehot_rank(digit, live, fan_in, radix, ws)
-            lane_shift = None
-        accepted = self._scratch_array("accepted", size, bool, ws)
-        np.less_equal(rank_incl, capacity, out=accepted, casting="unsafe")
-        np.logical_and(accepted, live, out=accepted)
-        return rank_incl, accepted, lane_shift, digit
-
-    def _onehot_rank(
-        self,
-        digit: np.ndarray,
-        live: np.ndarray,
-        fan_in: int,
-        radix: int,
-        ws=None,
-    ) -> np.ndarray:
-        """Inclusive in-bucket rank via an explicit one-hot tensor.
-
-        Fallback for switch shapes too wide for packed lanes: one boolean
-        channel per bucket, cumulated along the switch axis.  Idle wires
-        are aimed at channel ``radix``, which no real request occupies.
-        Runs entirely in scratch buffers — wide-radix graphs stay on the
-        zero-allocation chunk path just like the packed-lane shapes.
-        """
-        size = digit.size
-        channels = self._scratch_array("oh_channels", size, digit.dtype, ws)
-        dead = self._scratch_array("oh_dead", size, bool, ws)
-        np.copyto(channels, digit)
-        np.logical_not(live, out=dead)
-        np.copyto(channels, radix, where=dead, casting="unsafe")
-        ch2 = channels.reshape(-1, fan_in)
-        count_dtype = np.int16 if fan_in > 127 else np.int8
-        onehot = self._scratch_array("oh_onehot", size * radix, bool, ws)
-        onehot3 = onehot.reshape(-1, fan_in, radix)
-        np.equal(ch2[..., None], np.arange(radix, dtype=digit.dtype), out=onehot3)
-        cum = self._scratch_array("oh_cum", size * radix, count_dtype, ws)
-        cum3 = cum.reshape(-1, fan_in, radix)
-        np.cumsum(onehot3, axis=1, dtype=count_dtype, out=cum3)
-        # Gather each wire's own channel out of the cumulated tensor one
-        # channel at a time: radix masked copies instead of the fancy
-        # gather ``take_along_axis`` would allocate for.
-        rank = self._scratch_array("oh_rank", size, count_dtype, ws)
-        sel = self._scratch_array("oh_sel", size, bool, ws)
-        rank2 = rank.reshape(-1, fan_in)
-        sel2 = sel.reshape(-1, fan_in)
-        for r in range(radix):
-            np.equal(ch2, r, out=sel2)
-            np.copyto(rank2, cum3[:, :, r], where=sel2)
-        return rank
-
-    def _resolve_sparse(
-        self,
-        cyc: np.ndarray,
-        local_key: np.ndarray,
-        span: int,
-        cycle_rngs: Optional[Sequence[np.random.Generator]],
-        rng: BatchRng,
-        capacity: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch-wide grouped resolution under random priority.
-
-        ``local_key`` identifies the ``(switch, bucket)`` group *within* a
-        cycle (values in ``[0, span)``); folding in ``cyc`` makes groups
-        globally distinct.  Returns ``(accept_mask, winner_ranks)`` with
-        the same conventions as the single-cycle resolver
-        (:meth:`repro.sim.vectorized.VectorizedEDN._resolve`).
-        """
-        count = local_key.size
-        if count == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-        key = cyc * span + local_key
-        tie = self._random_tiebreak(cyc, count, rng, cycle_rngs)
-        max_combined = (int(cyc[-1]) + 1) * span * count
-        if max_combined < (1 << 62):
-            # (key, tie) pairs are unique, so an unstable argsort of the
-            # combined integer realizes the grouped priority order.
-            order = np.argsort(key * count + tie)
-        else:
-            order = np.lexsort((tie, key))  # overflow fallback: astronomical sizes
-        sorted_key = key[order]
-        new_group = np.empty(count, dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
-        group_ids = np.cumsum(new_group) - 1
-        group_starts = np.flatnonzero(new_group)
-        rank_sorted = np.arange(count) - group_starts[group_ids]
-        accept_sorted = rank_sorted < capacity
-
-        accept_mask = np.zeros(count, dtype=bool)
-        accept_mask[order[accept_sorted]] = True
-        rank_by_pos = np.empty(count, dtype=np.int64)
-        rank_by_pos[order] = rank_sorted
-        return accept_mask, rank_by_pos[accept_mask]
-
-    @staticmethod
-    def _random_tiebreak(
-        cyc: np.ndarray,
-        count: int,
-        rng: BatchRng,
-        cycle_rngs: Optional[Sequence[np.random.Generator]],
-    ) -> np.ndarray:
-        """Random-priority sub-keys, batch-wide or per-cycle.
-
-        With per-cycle generators each cycle's contiguous slice of the
-        frontier receives ``rngs[i].permutation(slice_len)`` — the exact
-        draw (size, order, and position) the single-cycle engine makes, so
-        tie-break decisions match it bit for bit.
-        """
-        if cycle_rngs is None:
-            return rng.permutation(count)
-        tie = np.empty(count, dtype=np.int64)
-        boundaries = np.flatnonzero(np.diff(cyc)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [count]))
-        for start, stop in zip(starts, stops):
-            tie[start:stop] = cycle_rngs[cyc[start]].permutation(stop - start)
-        return tie
-
-    @staticmethod
-    def _cycle_rngs(rng: BatchRng, batch: int) -> Optional[list]:
-        """Normalize ``rng``: ``None`` for a single generator, else a list."""
-        if rng is None:
-            raise ConfigurationError(
-                "random priority requires a numpy Generator (or one per cycle)"
-            )
-        if isinstance(rng, np.random.Generator):
-            return None
-        cycle_rngs = list(rng)
-        if len(cycle_rngs) != batch:
-            raise ConfigurationError(
-                f"need one generator per cycle: got {len(cycle_rngs)} "
-                f"for batch {batch}"
-            )
-        return cycle_rngs
-
-
-class BatchedEDN(VectorizedEDN, _DenseRankKernels):
-    """Array-based ``EDN(a, b, c, l)`` router over batches of cycles.
-
-    Construction mirrors :class:`~repro.sim.vectorized.VectorizedEDN`
-    (whose single-cycle ``route`` it inherits); :meth:`route_batch` routes
-    many independent cycles at once.
-
-    >>> import numpy as np
-    >>> from repro.core.config import EDNParams
-    >>> net = BatchedEDN(EDNParams(16, 4, 4, 2))
-    >>> res = net.route_batch(np.tile(np.arange(64), (3, 1)))
-    >>> res.output.shape
-    (3, 64)
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._gamma_tables: dict = {}
-        self._swbase: dict = {}
-        self._scratch: dict = {}
-
-    def _gamma_table(self, stage: int, dtype) -> np.ndarray:
-        """Lookup table of the interstage gamma after ``stage``.
-
-        The gamma is a fixed permutation of the stage's wire labels;
-        gathering through a precomputed table replaces the ~8 elementwise
-        ops of :meth:`VectorizedEDN._gamma_vec` per batch with one.  With
-        a compiled plan the table is shared by every engine on the plan;
-        without one it is cached per instance (the seed behavior).
-        """
-        if self._plan is not None:
-            return self._plan.gamma_table(stage, dtype)
-        n_bits = ilog2(self.params.wires_after_stage(stage))
-        key = (n_bits, np.dtype(dtype).str)
-        table = self._gamma_tables.get(key)
-        if table is None:
-            table = self._gamma_vec(
-                np.arange(1 << n_bits, dtype=dtype), n_bits
-            ).astype(dtype)
-            self._gamma_tables[key] = table
-        return table
-
-    def preferred_batch(self) -> int:
-        """Cycles per chunk that keep a stage's working set cache-resident.
-
-        The dense kernels stream ~10 arrays of ``batch * wires`` entries
-        per stage; beyond the L2 cache the scatters dominate, so large
-        networks want *smaller* chunks.  Measured sweet spot: about
-        ``2**17`` frontier entries per chunk, at least 16 cycles.  The
-        formula lives on the plan (one copy); plan-less engines restate
-        it.
-        """
-        if self._plan is not None:
-            return self._plan.preferred_batch()
-        return max(16, min(64, (1 << 17) // self.params.num_inputs))
-
-    def _workspace(self, override):
-        """The scratch provider for one call: explicit > plan-thread-local."""
-        if override is not None:
-            return override
-        if self._plan is not None:
-            return self._plan.workspace()
-        return None
-
-    def route_batch(
-        self, dests: np.ndarray, rng: BatchRng = None, *, workspace=None
-    ) -> BatchCycleResult:
-        """Route ``batch`` independent cycles (``dests[i, s]`` = output or ``-1``).
-
-        ``rng`` is only consumed under ``random`` priority.  A single
-        generator draws the tie-break keys for the whole batch (the fast
-        path); a sequence of ``batch`` generators draws each cycle's keys
-        from its own stream, reproducing ``VectorizedEDN.route(dests[i],
-        rng_i)`` bit for bit (used by equivalence tests and the
-        chunk-size-invariant Monte-Carlo harness).  ``workspace``
-        optionally overrides the scratch buffers (default: the compiled
-        plan's per-thread :class:`~repro.sim.plan.ChunkWorkspace`).
-        """
-        p = self.params
-        dests, flat, live0 = validate_demand_matrix(
-            dests, p.num_inputs, p.num_outputs
-        )
-        batch, n = dests.shape
-        ws = self._workspace(workspace)
-
-        if self.priority == "label":
-            output, blocked_stage = self._route_batch_dense(flat, live0, batch, ws)
-        else:
-            output, blocked_stage = self._route_batch_sparse(flat, live0, batch, rng)
-        return BatchCycleResult(
-            output=output.reshape(batch, n),
-            blocked_stage=blocked_stage.reshape(batch, n),
-        )
-
-    # ------------------------------------------------------------------
-    # Dense, sort-free path (label priority)
-    # ------------------------------------------------------------------
-
-    def _switch_base(self, width: int, dtype) -> np.ndarray:
-        """Per-wire ``switch * b * c - 1`` row for one stage width (cached).
-
-        The ``- 1`` pre-folds the conversion of inclusive ranks to 0-based
-        bucket wire offsets, so the bucket-wire computation in the counts
-        kernel is two adds.
-        """
-        if self._plan is not None:
-            return self._plan.switch_base(width, dtype)
-        p = self.params
-        key = (width, np.dtype(dtype).char)
-        row = self._swbase.get(key)
-        if row is None:
-            switch = np.arange(width, dtype=dtype) >> ilog2(p.a)
-            row = (switch << ilog2(p.b * p.c)) - 1
-            self._swbase[key] = row
-        return row
-
-    def _route_batch_dense(
-        self, flat: np.ndarray, live0: np.ndarray, batch: int, ws=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-message batch routing with dense per-wire frontier arrays.
-
-        The frontier after each stage is represented by two
-        ``(batch * wires,)`` arrays — destination and source id (``-1``
-        marking dead wires) — indexed by ``cycle * wires + wire_label``.
-        Winners take bucket wire ``rank`` (the first-free policy) and
-        scatter through the interstage gamma into the next stage's dense
-        arrays; losers record their blocking stage against their source.
-        """
-        p = self.params
-        n = p.num_inputs
-        total = batch * n
-        # Narrow dtypes keep the streaming passes cheap; fall back to
-        # int64 only at sizes where 32-bit ids could overflow.
-        idx_dtype = np.int32 if total < 2**31 and p.num_outputs < 2**31 else np.int64
-
-        output = np.full(total, IDLE, dtype=np.int64)
-        blocked_stage = np.full(total, IDLE, dtype=np.int64)
-        blocked_stage[live0] = 0  # provisional: delivered unless marked
-
-        dest = flat.astype(idx_dtype)
-        src = np.arange(total, dtype=idx_dtype)
-        src[~live0] = -1
-
-        for stage in range(1, p.l + 1):
-            width = p.wires_after_stage(stage - 1)
-            live = self._scratch_array("live", dest.size, bool, ws)
-            np.greater_equal(dest, 0, out=live)
-            rank_incl, accepted, lane_shift, digit = self._dense_rank(
-                dest, live, p.a, p.digit_bits, self._stage_shifts[stage - 1], p.c, ws
-            )
-            np.logical_xor(live, accepted, out=live)  # live becomes the loser mask
-            blocked_stage[src[np.flatnonzero(live)]] = stage
-            accept_idx = np.flatnonzero(accepted)
-            if accept_idx.size == 0:
-                src = np.zeros(0, dtype=idx_dtype)
-                break
-            accept_idx = accept_idx.astype(idx_dtype)
-            rank = rank_incl[accept_idx].astype(idx_dtype) - 1
-            if digit is None:
-                digit_w = lane_shift[accept_idx] >> 3
-            else:
-                digit_w = digit[accept_idx]
-            switch = (accept_idx & (width - 1)) >> ilog2(p.a)
-            y = (switch << ilog2(p.b * p.c)) + (digit_w << ilog2(p.c)) + rank
-            next_width = p.wires_after_stage(stage)
-            if stage < p.l:
-                y = self._gamma_table(stage, idx_dtype)[y]
-            next_idx = ((accept_idx >> ilog2(width)) << ilog2(next_width)) + y
-            next_dest = np.full(batch * next_width, IDLE, dtype=idx_dtype)
-            next_src = np.full(batch * next_width, -1, dtype=idx_dtype)
-            next_dest[next_idx] = dest[accept_idx]
-            next_src[next_idx] = src[accept_idx]
-            dest, src = next_dest, next_src
-
-        if src.size:
-            width = p.wires_after_stage(p.l)
-            live = self._scratch_array("live", dest.size, bool, ws)
-            np.greater_equal(dest, 0, out=live)
-            _rank, accepted, lane_shift, digit = self._dense_rank(
-                dest, live, p.c, p.capacity_bits, 0, 1, ws
-            )
-            np.logical_xor(live, accepted, out=live)
-            blocked_stage[src[np.flatnonzero(live)]] = p.l + 1
-            accept_idx = np.flatnonzero(accepted)
-            if accept_idx.size:
-                if digit is None:
-                    x = lane_shift[accept_idx] >> 3
-                else:
-                    x = digit[accept_idx]
-                switch = (accept_idx & (width - 1)) >> ilog2(p.c)
-                output[src[accept_idx]] = (switch << ilog2(p.c)) + x
-        return output, blocked_stage
-
-    def route_batch_counts(
-        self, dests: np.ndarray, rng: BatchRng = None, *, workspace=None
-    ) -> "BatchAcceptanceCounts":
-        """Route a batch but return only acceptance *counts*, maximally fast.
-
-        Monte-Carlo acceptance measurement needs per-cycle offered and
-        delivered counts plus a blocked-stage histogram — not per-message
-        outcomes.  Dropping source attribution lets the whole stage
-        transform stay dense: no winner extraction, no index lists, one
-        scatter per stage (losers and dead wires are parked on a trash
-        slot).  Routing decisions are identical to :meth:`route_batch`,
-        message for message; only the bookkeeping differs.
-
-        With a compiled plan (the default) and packed-lane-capable switch
-        shapes, the plan-specialized kernel runs instead: same routing
-        decisions and counts, but computing in the plan's narrow wire
-        dtype with precompiled tables and zero chunk-sized allocations.
-
-        Falls back to :meth:`route_batch` under ``random`` priority, where
-        contention is resolved by sort anyway.
-        """
-        if self.priority != "label":
-            result = self.route_batch(dests, rng, workspace=workspace)
-            return BatchAcceptanceCounts(
-                offered_per_cycle=result.offered_per_cycle,
-                delivered_per_cycle=result.delivered_per_cycle,
-                blocked_by_stage=result.blocked_stage_histogram(),
-            )
-        ws = self._workspace(workspace)
-        if self._plan is not None and self._plan.all_packed:
-            return self._route_counts_planned(dests, ws)
-        return self._route_counts_generic(dests, ws)
-
-    def _route_counts_generic(self, dests: np.ndarray, ws=None) -> "BatchAcceptanceCounts":
-        """The dtype-generic counts kernel (any switch shape, any size)."""
-        p = self.params
-        dests, flat, live0 = validate_demand_matrix(
-            dests, p.num_inputs, p.num_outputs
-        )
-        batch, n = dests.shape
-        offered = live0.reshape(batch, n).sum(axis=1)
-        total = batch * n
-        idx_dtype = np.int32 if total < 2**31 and p.num_outputs < 2**31 else np.int64
-
-        dest = flat.astype(idx_dtype)
-        blocked: dict[int, int] = {}
-        alive = int(offered.sum())
-        delivered = np.zeros(batch, dtype=np.int64)
-
-        for stage in range(1, p.l + 1):
-            if alive == 0:
-                break
-            width = p.wires_after_stage(stage - 1)
-            size = batch * width
-            live = self._scratch_array("live", size, bool, ws)
-            np.greater_equal(dest, 0, out=live)
-            rank_incl, accepted, lane_shift, digit = self._dense_rank(
-                dest, live, p.a, p.digit_bits, self._stage_shifts[stage - 1], p.c, ws
-            )
-            surviving = int(accepted.sum())
-            if surviving != alive:
-                blocked[stage] = alive - surviving
-            alive = surviving
-            if alive == 0:
-                break
-            # Bucket wire for everyone (junk at dead/blocked wires):
-            # y = (switch * b * c - 1) + digit * c + rank_incl.
-            y = self._scratch_array("y", size, idx_dtype, ws)
-            cshift = 3 - ilog2(p.c)
-            if digit is None:
-                if cshift >= 0:
-                    np.right_shift(lane_shift, cshift, out=y, casting="unsafe")
-                else:
-                    np.left_shift(lane_shift, -cshift, out=y, casting="unsafe")
-            else:
-                np.left_shift(digit, ilog2(p.c), out=y, casting="unsafe")
-            np.add(y, rank_incl, out=y, casting="unsafe")
-            y2 = y.reshape(batch, width)
-            np.add(y2, self._switch_base(width, idx_dtype), out=y2)
-            next_width = p.wires_after_stage(stage)
-            if stage < p.l:
-                # Junk entries may index anywhere in [-1, width + 255]:
-                # clip-mode gathering keeps them harmless until trashed.
-                target = self._scratch_array("target", size, idx_dtype, ws)
-                np.take(self._gamma_table(stage, idx_dtype), y, out=target, mode="clip")
-            else:
-                target = y
-            trash = batch * next_width
-            t2 = target.reshape(batch, width)
-            np.add(
-                t2,
-                np.arange(batch, dtype=idx_dtype)[:, None] << ilog2(next_width),
-                out=t2,
-            )
-            np.logical_not(accepted, out=live)  # live becomes the reject mask
-            target[live] = trash
-            name = "dest_even" if stage % 2 == 0 else "dest_odd"
-            next_dest = self._scratch_array(name, trash + 1, idx_dtype, ws)
-            next_dest.fill(IDLE)
-            next_dest[target] = dest
-            dest = next_dest[:trash]
-
-        if alive:
-            width = p.wires_after_stage(p.l)
-            live = self._scratch_array("live", dest.size, bool, ws)
-            np.greater_equal(dest, 0, out=live)
-            _rank, accepted, _ls, _digit = self._dense_rank(
-                dest, live, p.c, p.capacity_bits, 0, 1, ws
-            )
-            delivered = accepted.reshape(batch, width).sum(axis=1)
-            final = int(delivered.sum())
-            if final != alive:
-                blocked[p.l + 1] = alive - final
-        return BatchAcceptanceCounts(
-            offered_per_cycle=offered,
-            delivered_per_cycle=delivered,
-            blocked_by_stage=dict(sorted(blocked.items())),
-        )
-
-    def _route_counts_planned(
-        self, dests: np.ndarray, ws
-    ) -> "BatchAcceptanceCounts":
-        """Plan-specialized counts kernel: narrow dtypes, zero allocations.
-
-        Routing decisions are identical to :meth:`_route_counts_generic`
-        (pinned by the plan-equivalence tests); the wins are mechanical:
-
-        * all frontier/wire arithmetic runs in the plan's compiled
-          ``wire_dtype`` (``int16`` whenever every stage width and the
-          output space fit 15 bits), halving memory traffic;
-        * gamma tables, switch bases, and per-cycle row offsets come
-          precompiled from the plan — no per-call ``arange``/table builds;
-        * losers are parked on the trash slot with a masked ``copyto``
-          instead of boolean fancy indexing (no index-list materialization);
-        * every chunk-sized buffer comes from the reusable workspace, so
-          the steady state allocates only O(batch) counter arrays.
-        """
-        plan, p = self._plan, self.params
-        n = p.num_inputs
-        dests = _check_demand_shape(dests, n)
-        batch = dests.shape[0]
-        total = batch * n
-        flat = dests.reshape(-1)
-        _check_destination_bounds(flat, p.num_outputs)
-        # The liveness mask lives in the workspace (the shared validator
-        # would allocate a fresh one per chunk).
-        live0 = ws.array("live0", total, bool)
-        np.not_equal(flat, IDLE, out=live0)
-        offered = np.count_nonzero(live0.reshape(batch, n), axis=1)
-
-        wire = plan.wire_dtype
-        dest = ws.array("dest0", total, wire)
-        np.copyto(dest, flat, casting="unsafe")
-        blocked: dict[int, int] = {}
-        alive = int(offered.sum())
-        delivered = np.zeros(batch, dtype=np.int64)
-        cshift = 3 - ilog2(p.c)
-
-        for stage in range(1, p.l + 1):
-            if alive == 0:
-                break
-            width = plan.stage_widths[stage - 1]
-            size = batch * width
-            live = ws.array("live", size, bool)
-            np.greater_equal(dest, 0, out=live)
-            rank_incl, accepted, lane_shift, _digit = self._dense_rank(
-                dest,
-                live,
-                p.a,
-                p.digit_bits,
-                plan.stage_shifts[stage - 1],
-                p.c,
-                ws,
-                rank_dtype=wire,
-            )
-            surviving = int(np.count_nonzero(accepted))
-            if surviving != alive:
-                blocked[stage] = alive - surviving
-            alive = surviving
-            if alive == 0:
-                break
-            # Bucket wire for everyone (junk at dead/blocked wires):
-            # y = (switch * b * c - 1) + digit * c + rank_incl.
-            y = ws.array("y", size, wire)
-            if cshift >= 0:
-                np.right_shift(lane_shift, cshift, out=y, casting="unsafe")
-            else:
-                np.left_shift(lane_shift, -cshift, out=y, casting="unsafe")
-            np.add(y, rank_incl, out=y, casting="unsafe")
-            y2 = y.reshape(batch, width)
-            np.add(y2, plan.switch_base(width, wire), out=y2)
-            next_width = plan.stage_widths[stage]
-            trash = batch * next_width
-            index = plan.index_dtype(trash + 1)
-            if stage < p.l:
-                # Junk entries may index anywhere in [-1, width + 255]:
-                # clip-mode gathering keeps them harmless until trashed.
-                src_w = ws.array("target_w", size, wire)
-                np.take(plan.gamma_table(stage, wire), y, out=src_w, mode="clip")
-            else:
-                src_w = y  # buckets feed the crossbars directly
-            # Widen to global scatter indices (1 + cycle * width + wire) in
-            # the same pass that applies the per-cycle row offsets.  The
-            # +1 bias reserves flat index 0 as the trash slot, so parking
-            # losers and dead wires is a single streaming multiply by the
-            # acceptance mask — several-fold cheaper than a masked write,
-            # whose random-bit mask defeats dense write-combining.
-            target = ws.array("target", size, index)
-            np.add(
-                src_w.reshape(batch, width),
-                plan.row_offsets(batch, ilog2(next_width), index, bias=1),
-                out=target.reshape(batch, width),
-                casting="unsafe",
-            )
-            np.multiply(target, accepted, out=target, casting="unsafe")
-            name = "dest_even" if stage % 2 == 0 else "dest_odd"
-            next_dest = ws.array(name, trash + 1, wire)
-            next_dest.fill(IDLE)
-            next_dest[target] = dest
-            dest = next_dest[1 : trash + 1]
-
-        if alive:
-            width = plan.stage_widths[p.l]
-            live = ws.array("live", dest.size, bool)
-            np.greater_equal(dest, 0, out=live)
-            _rank, accepted, _ls, _digit = self._dense_rank(
-                dest, live, p.c, p.capacity_bits, 0, 1, ws
-            )
-            delivered = np.count_nonzero(accepted.reshape(batch, width), axis=1)
-            final = int(delivered.sum())
-            if final != alive:
-                blocked[p.l + 1] = alive - final
-        return BatchAcceptanceCounts(
-            offered_per_cycle=offered,
-            delivered_per_cycle=delivered,
-            blocked_by_stage=dict(sorted(blocked.items())),
-        )
-
-    # ------------------------------------------------------------------
-    # Sparse, sort-based path (random priority)
-    # ------------------------------------------------------------------
-
-    def _route_batch_sparse(
-        self, flat: np.ndarray, live0: np.ndarray, batch: int, rng: BatchRng
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve a whole batch by folding the cycle index into the sort key.
-
-        Random priority needs a random *order* within every contention
-        group, which is inherently a sort; the composite key
-        ``cycle * span + switch * b + digit`` keeps groups from different
-        cycles distinct, so one batch-wide argsort replaces ``batch``
-        per-cycle lexsorts.
-        """
-        p = self.params
-        n = p.num_inputs
-        cycle_rngs = self._cycle_rngs(rng, batch)
-
-        output = np.full(batch * n, IDLE, dtype=np.int64)
-        blocked_stage = np.full(batch * n, IDLE, dtype=np.int64)
-        blocked_stage[live0] = 0
-
-        # Live frontier: flat source ids (cycle * n + source), per-cycle wire
-        # labels, and the owning cycle of each request.  Boolean filtering
-        # preserves cycle-major order, so each cycle's sub-sequence always
-        # matches the single-cycle engine's frontier order.
-        sources = np.flatnonzero(live0)
-        cyc = sources // n
-        wires = sources - cyc * n
-
-        for stage in range(1, p.l + 1):
-            if sources.size == 0:
-                break
-            width = p.wires_after_stage(stage - 1)
-            switch = wires // p.a
-            digit = (flat[sources] >> self._stage_shifts[stage - 1]) & (p.b - 1)
-            local_key = switch * p.b + digit
-            span = (width // p.a) * p.b
-            accept_mask, rank = self._resolve_sparse(
-                cyc, local_key, span, cycle_rngs, rng, capacity=p.c
-            )
-            blocked_stage[sources[~accept_mask]] = stage
-            sources = sources[accept_mask]
-            cyc = cyc[accept_mask]
-            y = switch[accept_mask] * (p.b * p.c) + digit[accept_mask] * p.c + rank
-            if stage < p.l:
-                wires = self._gamma_vec(y, ilog2(p.wires_after_stage(stage)))
-            else:
-                wires = y  # buckets feed the crossbars directly
-
-        if sources.size:
-            switch = wires // p.c
-            x = flat[sources] & (p.c - 1)
-            local_key = switch * p.c + x
-            accept_mask, _rank = self._resolve_sparse(
-                cyc, local_key, p.num_outputs, cycle_rngs, rng, capacity=1
-            )
-            blocked_stage[sources[~accept_mask]] = p.l + 1
-            output[sources[accept_mask]] = local_key[accept_mask]
-        return output, blocked_stage
-
-
-class CompiledStageRouter(_DenseRankKernels):
+class CompiledStageRouter:
     """Any :class:`~repro.sim.stagegraph.StageGraph` on the batched kernels.
 
-    The unified fast path of the delta-family baselines: a topology is
-    handed over as *data* (a stage graph), compiled once into a cached
-    :class:`~repro.sim.plan.StagePlan` (link-permutation tables,
+    The one NumPy executor of every unidirectional multistage network: a
+    topology is handed over as *data* (a stage graph), compiled once into
+    a cached :class:`~repro.sim.plan.StagePlan` (link-permutation tables,
     switch-base rows, narrow dtypes, per-thread workspaces), and routed
-    by the same dense packed-lane / batch-folded-sort kernels the EDN
-    engine uses.  ``delta``, ``omega``, and ``dilated`` specs all resolve
-    here under ``backend="auto"``; the per-cycle
+    by dense packed-lane / batch-folded-sort kernels.  ``edn``,
+    ``delta``, ``omega``, and ``dilated`` specs all resolve here under
+    ``backend="batched"``; the per-cycle
     :class:`~repro.sim.stagegraph.StageGraphReference` interpreter behind
     the generic batch loop remains as the independent cross-check path.
 
@@ -987,7 +277,6 @@ class CompiledStageRouter(_DenseRankKernels):
                     f"router was given {buffer_depth}"
                 )
         self._plan = plan
-        self._scratch: dict = {}
         self._buffers = (
             plan.buffered_state() if plan.buffer_depth is not None else None
         )
@@ -1050,9 +339,13 @@ class CompiledStageRouter(_DenseRankKernels):
     ) -> BatchCycleResult:
         """Route ``batch`` independent cycles (``dests[i, s]`` = output or ``-1``).
 
-        ``rng`` is only consumed under ``random`` priority; as with
-        :class:`BatchedEDN`, a sequence of per-cycle generators reproduces
-        the per-cycle engine's draws bit for bit regardless of chunking.
+        ``rng`` is only consumed under ``random`` priority.  A single
+        generator draws the tie-break keys for the whole batch; a sequence
+        of ``batch`` generators draws each cycle's keys from its own
+        stream, reproducing ``route(dests[i], rng_i)`` bit for bit
+        regardless of chunking.  ``workspace`` optionally overrides the
+        scratch buffers (default: the plan's per-thread
+        :class:`~repro.sim.plan.ChunkWorkspace`).
         """
         g = self.graph
         dests, flat, live0 = validate_demand_matrix(dests, g.n_inputs, g.n_outputs)
@@ -1330,6 +623,231 @@ class CompiledStageRouter(_DenseRankKernels):
         state.occupancy[i][winners] -= 1
 
     # ------------------------------------------------------------------
+    # Contention resolution (shared by every routing path)
+    # ------------------------------------------------------------------
+
+    #: Bits per packed bucket counter; holds counts up to a = 64 wires.
+    _LANE_BITS = 8
+    _LANE_MASK = (1 << _LANE_BITS) - 1
+
+    def _dense_rank(
+        self,
+        dest: np.ndarray,
+        live: np.ndarray,
+        fan_in: int,
+        digit_bits: int,
+        shift: int,
+        capacity: int,
+        ws,
+        rank_dtype=None,
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Dense in-bucket ranking for one stage (the sort-free core).
+
+        ``dest`` holds the flat per-wire frontier of one stage (``fan_in``
+        wires per switch, ``-1`` marking dead wires, ``live`` its
+        precomputed liveness); each live wire requests bucket ``(dest >>
+        shift) & (2**digit_bits - 1)`` of its switch, and the first
+        ``capacity`` requests per bucket in wire-label order win.
+        ``digit_bits == 0`` degenerates to a single bucket per switch.
+
+        All buckets of a switch are counted at once: each wire contributes
+        ``1`` to an 8-bit lane selected by its bucket digit inside one
+        packed integer, an inclusive prefix sum along the switch's
+        ``fan_in`` wires accumulates every bucket's running occupancy
+        simultaneously, and shifting the wire's own lane back out yields
+        its 1-based rank — no sorting, no ``radix``-times-wider one-hot
+        tensor.  (Switch shapes that cannot pack — ``radix * 8`` bits
+        beyond an ``int64``, or ``fan_in`` overflowing a lane — take the
+        one-hot fallback.)
+
+        Returns ``(rank_incl, accepted, lane_shift, digit)``: dense
+        1-based in-bucket ranks (junk at dead wires), the dense acceptance
+        mask, and the digit information — ``lane_shift`` (``digit * 8``)
+        on the packed path, an explicit ``digit`` array on the fallback
+        path (the other is ``None``).  All returned arrays alias scratch
+        buffers: consume them before the next ``_dense_rank`` call.
+        """
+        radix = 1 << digit_bits
+        size = dest.size
+        lane_width = radix * self._LANE_BITS
+        # The top lane's running count must stay clear of the sign bit.
+        packable = fan_in <= self._LANE_MASK >> 1
+        if packable and lane_width <= 64:
+            # Fused digit-times-8 extraction: ((dest >> shift) & m) << 3
+            # == (dest >> (shift - 3)) & (m << 3), one temp fewer.
+            mask3 = (radix - 1) << 3
+            lane_shift = ws.array("lane_shift", size, dest.dtype)
+            if shift >= 3:
+                np.right_shift(dest, shift - 3, out=lane_shift)
+            else:
+                np.left_shift(dest, 3 - shift, out=lane_shift)
+            np.bitwise_and(lane_shift, mask3, out=lane_shift)
+            lane_dtype = np.int32 if lane_width <= 32 else np.int64
+            lanes = ws.array("lanes", size, lane_dtype)
+            # dtype= pins the ufunc loop itself to the lane width — with
+            # out= alone the shift would run in the promoted input dtype
+            # (int32) and overflow for high lanes.
+            np.left_shift(live, lane_shift, out=lanes, dtype=lane_dtype, casting="unsafe")
+            # Column-at-a-time prefix sum: one fully vectorized strided add
+            # per wire position beats np.cumsum's per-switch inner loops.
+            view = lanes.reshape(-1, fan_in)
+            for j in range(1, fan_in):
+                view[:, j] += view[:, j - 1]
+            if rank_dtype is not None and rank_dtype != lane_dtype:
+                # Unshift straight into the caller's narrow dtype so the
+                # downstream bucket-wire arithmetic runs pure-dtype SIMD
+                # loops (mixed-dtype ufuncs cost ~5x per pass).
+                rank_incl = ws.array("rank", size, rank_dtype)
+                np.right_shift(lanes, lane_shift, out=rank_incl, casting="unsafe")
+                np.bitwise_and(rank_incl, self._LANE_MASK, out=rank_incl)
+            else:
+                np.right_shift(lanes, lane_shift, out=lanes)
+                np.bitwise_and(lanes, self._LANE_MASK, out=lanes)
+                rank_incl = lanes
+            digit = None
+        else:
+            digit = ws.array("digit", size, dest.dtype)
+            if radix > 1:
+                np.right_shift(dest, shift, out=digit)
+                np.bitwise_and(digit, radix - 1, out=digit)
+            else:
+                digit.fill(0)
+            rank_incl = self._onehot_rank(digit, live, fan_in, radix, ws)
+            lane_shift = None
+        accepted = ws.array("accepted", size, bool)
+        np.less_equal(rank_incl, capacity, out=accepted, casting="unsafe")
+        np.logical_and(accepted, live, out=accepted)
+        return rank_incl, accepted, lane_shift, digit
+
+    def _onehot_rank(
+        self,
+        digit: np.ndarray,
+        live: np.ndarray,
+        fan_in: int,
+        radix: int,
+        ws,
+    ) -> np.ndarray:
+        """Inclusive in-bucket rank via an explicit one-hot tensor.
+
+        Fallback for switch shapes too wide for packed lanes: one boolean
+        channel per bucket, cumulated along the switch axis.  Idle wires
+        are aimed at channel ``radix``, which no real request occupies.
+        Runs entirely in scratch buffers — wide-radix graphs stay on the
+        zero-allocation chunk path just like the packed-lane shapes.
+        """
+        size = digit.size
+        channels = ws.array("oh_channels", size, digit.dtype)
+        dead = ws.array("oh_dead", size, bool)
+        np.copyto(channels, digit)
+        np.logical_not(live, out=dead)
+        np.copyto(channels, radix, where=dead, casting="unsafe")
+        ch2 = channels.reshape(-1, fan_in)
+        count_dtype = np.int16 if fan_in > 127 else np.int8
+        onehot = ws.array("oh_onehot", size * radix, bool)
+        onehot3 = onehot.reshape(-1, fan_in, radix)
+        np.equal(ch2[..., None], np.arange(radix, dtype=digit.dtype), out=onehot3)
+        cum = ws.array("oh_cum", size * radix, count_dtype)
+        cum3 = cum.reshape(-1, fan_in, radix)
+        np.cumsum(onehot3, axis=1, dtype=count_dtype, out=cum3)
+        # Gather each wire's own channel out of the cumulated tensor one
+        # channel at a time: radix masked copies instead of the fancy
+        # gather ``take_along_axis`` would allocate for.
+        rank = ws.array("oh_rank", size, count_dtype)
+        sel = ws.array("oh_sel", size, bool)
+        rank2 = rank.reshape(-1, fan_in)
+        sel2 = sel.reshape(-1, fan_in)
+        for r in range(radix):
+            np.equal(ch2, r, out=sel2)
+            np.copyto(rank2, cum3[:, :, r], where=sel2)
+        return rank
+
+    def _resolve_sparse(
+        self,
+        cyc: np.ndarray,
+        local_key: np.ndarray,
+        span: int,
+        cycle_rngs: Optional[Sequence[np.random.Generator]],
+        rng: BatchRng,
+        capacity: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch-wide grouped resolution under random priority.
+
+        ``local_key`` identifies the ``(switch, bucket)`` group *within* a
+        cycle (values in ``[0, span)``); folding in ``cyc`` makes groups
+        globally distinct.  Returns ``(accept_mask, winner_ranks)``:
+        ``accept_mask`` aligns with ``local_key``, and ``winner_ranks``
+        lists the accepted requests' 0-based in-group ranks (the bucket
+        wire offset under the first-free policy) in ``local_key`` order.
+        """
+        count = local_key.size
+        if count == 0:
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        key = cyc * span + local_key
+        tie = self._random_tiebreak(cyc, count, rng, cycle_rngs)
+        max_combined = (int(cyc[-1]) + 1) * span * count
+        if max_combined < (1 << 62):
+            # (key, tie) pairs are unique, so an unstable argsort of the
+            # combined integer realizes the grouped priority order.
+            order = np.argsort(key * count + tie)
+        else:
+            order = np.lexsort((tie, key))  # overflow fallback: astronomical sizes
+        sorted_key = key[order]
+        new_group = np.empty(count, dtype=bool)
+        new_group[0] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
+        group_ids = np.cumsum(new_group) - 1
+        group_starts = np.flatnonzero(new_group)
+        rank_sorted = np.arange(count) - group_starts[group_ids]
+        accept_sorted = rank_sorted < capacity
+
+        accept_mask = np.zeros(count, dtype=bool)
+        accept_mask[order[accept_sorted]] = True
+        rank_by_pos = np.empty(count, dtype=np.int64)
+        rank_by_pos[order] = rank_sorted
+        return accept_mask, rank_by_pos[accept_mask]
+
+    @staticmethod
+    def _random_tiebreak(
+        cyc: np.ndarray,
+        count: int,
+        rng: BatchRng,
+        cycle_rngs: Optional[Sequence[np.random.Generator]],
+    ) -> np.ndarray:
+        """Random-priority sub-keys, batch-wide or per-cycle.
+
+        With per-cycle generators each cycle's contiguous slice of the
+        frontier receives ``rngs[i].permutation(slice_len)`` — the exact
+        draw (size, order, and position) a one-cycle call makes, so
+        tie-break decisions do not depend on chunking.
+        """
+        if cycle_rngs is None:
+            return rng.permutation(count)
+        tie = np.empty(count, dtype=np.int64)
+        boundaries = np.flatnonzero(np.diff(cyc)) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.concatenate((boundaries, [count]))
+        for start, stop in zip(starts, stops):
+            tie[start:stop] = cycle_rngs[cyc[start]].permutation(stop - start)
+        return tie
+
+    @staticmethod
+    def _cycle_rngs(rng: BatchRng, batch: int) -> Optional[list]:
+        """Normalize ``rng``: ``None`` for a single generator, else a list."""
+        if rng is None:
+            raise ConfigurationError(
+                "random priority requires a numpy Generator (or one per cycle)"
+            )
+        if isinstance(rng, np.random.Generator):
+            return None
+        cycle_rngs = list(rng)
+        if len(cycle_rngs) != batch:
+            raise ConfigurationError(
+                f"need one generator per cycle: got {len(cycle_rngs)} "
+                f"for batch {batch}"
+            )
+        return cycle_rngs
+
+    # ------------------------------------------------------------------
     # Dense per-message kernel (label priority)
     # ------------------------------------------------------------------
 
@@ -1363,7 +881,7 @@ class CompiledStageRouter(_DenseRankKernels):
 
         for i, stage in enumerate(g.stages):
             width = plan.stage_widths[i]
-            live = self._scratch_array("live", dest.size, bool, ws)
+            live = ws.array("live", dest.size, bool)
             np.greater_equal(dest, 0, out=live)
             rank_incl, accepted, lane_shift, digit = self._dense_rank(
                 dest, live, stage.fan_in, stage.digit_bits, stage.shift,
@@ -1601,6 +1119,44 @@ class CompiledStageRouter(_DenseRankKernels):
     def __repr__(self) -> str:
         faulted = f", faults={len(self.faults)}" if self.faults else ""
         return (
-            f"CompiledStageRouter({self.graph.label}, "
+            f"{type(self).__name__}({self.graph.label}, "
             f"priority={self.priority!r}{faulted})"
         )
+
+
+class BatchedEDN(CompiledStageRouter):
+    """``EDN(a, b, c, l)`` on the compiled stage-graph core.
+
+    A constructor, not an engine: it builds
+    :func:`~repro.sim.stagegraph.edn_graph` under the given retirement
+    order and routes it with :class:`CompiledStageRouter`.  ``plan`` is
+    ``"auto"`` (the shared plan cache), ``None`` (a fresh uncached
+    compile) or an explicit :class:`~repro.sim.plan.StagePlan`.
+
+    >>> import numpy as np
+    >>> net = BatchedEDN(EDNParams(16, 4, 4, 2))
+    >>> res = net.route_batch(np.tile(np.arange(64), (3, 1)))
+    >>> res.output.shape
+    (3, 64)
+    """
+
+    def __init__(
+        self,
+        params: EDNParams,
+        *,
+        priority: str = "label",
+        retirement_order: Optional[RetirementOrder] = None,
+        plan="auto",
+    ):
+        if retirement_order is None:
+            retirement_order = RetirementOrder.canonical(params.l)
+        super().__init__(
+            edn_graph(params, retirement_order), priority=priority, plan=plan
+        )
+        self.params = params
+        self.retirement_order = retirement_order
+
+    # Bound in this class body, not inherited: the benchmark's tracer
+    # (perfbench/spans.py) wraps ``BatchedEDN.__dict__["route_batch_counts"]``
+    # to time the EDN kernel layer.
+    route_batch_counts = CompiledStageRouter.route_batch_counts

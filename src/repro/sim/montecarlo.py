@@ -6,7 +6,7 @@ statistically honest comparisons against the analytic models (Eqs. 4-5).
 
 The harness is router-agnostic: anything exposing ``n_inputs``,
 ``n_outputs`` and ``route(dests, rng) -> result`` with ``num_offered`` /
-``num_delivered`` works, which lets the same code drive the vectorized EDN,
+``num_delivered`` works, which lets the same code drive the compiled routers,
 the reference EDN (via an adapter), and the baseline networks.  Routers
 that additionally expose ``route_batch(dests, rng)`` (the
 :class:`~repro.sim.batched.BatchedEDN` protocol) are driven in chunks of
@@ -370,8 +370,7 @@ class ReferenceRouterAdapter:
     """Expose :class:`~repro.core.network.EDNetwork` through the router protocol.
 
     Used by equivalence tests; for performance work prefer
-    :class:`~repro.sim.batched.BatchedEDN` (or
-    :class:`~repro.sim.vectorized.VectorizedEDN`) directly.
+    :class:`~repro.sim.batched.BatchedEDN` directly.
     """
 
     def __init__(self, network: EDNetwork):

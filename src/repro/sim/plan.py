@@ -19,19 +19,14 @@ This module compiles all of it **once per topology**:
   in 15 bits).  Plans are immutable after compilation and safely shared
   by any number of engines; every unidirectional multistage topology in
   the repository (EDN, delta, omega, dilated delta) compiles to one.
-* :class:`RoutingPlan` — the ``EDN(a, b, c, l)`` specialization of
-  :class:`StagePlan`, keeping the EDN-specific views (``params``, digit
-  shifts, gamma tables by stage number) the dedicated EDN engines
-  consume.
 * :class:`ChunkWorkspace` — named scratch buffers grown monotonically and
   recycled across calls, so steady-state chunk routing performs no
   chunk-sized heap allocations.  Workspaces are mutable and therefore
   **per-thread**: :meth:`StagePlan.workspace` hands each thread its own.
-* :func:`plan_for` / :func:`stage_plan_for` — the keyed LRU plan cache.
-  Engines built from equal ``(params, priority, retirement order)`` keys
-  (EDN) or equal ``(graph, priority, faults)`` keys (stage graphs) share
-  one compiled plan, so repeated ``build_router``/``measure`` calls skip
-  all topology setup.  :func:`plan_cache_info` / :func:`clear_plan_cache`
+* :func:`stage_plan_for` — the keyed LRU plan cache.  Routers built
+  from equal ``(graph, priority, faults)`` keys share one compiled plan,
+  so repeated ``build_router``/``measure`` calls skip all topology
+  setup.  :func:`plan_cache_info` / :func:`clear_plan_cache`
   expose the cache to tests and benchmarks.
 
 Plan keys deliberately cover *exactly* the inputs that determine array-
@@ -54,11 +49,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.core.faults import FaultSet, WireFault
 from repro.core.labels import ilog2
-from repro.core.tags import RetirementOrder
 
 if TYPE_CHECKING:  # repro.sim.stagegraph imports gamma_permutation lazily
     from repro.sim.stagegraph import StageGraph
@@ -67,10 +60,7 @@ __all__ = [
     "ChunkWorkspace",
     "StagePlan",
     "BufferedState",
-    "RoutingPlan",
     "gamma_permutation",
-    "plan_for",
-    "compile_plan",
     "stage_plan_for",
     "compile_stage_plan",
     "clear_plan_cache",
@@ -85,8 +75,9 @@ def gamma_permutation(
     """``gamma_{log2(c), log2(a/c)}`` applied to ``n_bits``-bit labels.
 
     The single closed form of the interstage wiring permutation, shared
-    by the per-cycle engine (:meth:`VectorizedEDN._gamma_vec`) and the
-    compiled lookup tables below, so the two can never drift apart.
+    by the per-cycle :class:`~repro.sim.stagegraph.StageGraphReference`
+    and the compiled lookup tables below, so the two can never drift
+    apart.
     """
     j, k = capacity_bits, fan_in_bits
     upper_width = n_bits - j
@@ -120,7 +111,7 @@ class ChunkWorkspace:
 
     A workspace is cheap to create and holds no topology state, but it is
     **not** safe to share across threads routing concurrently; use
-    :meth:`RoutingPlan.workspace` for a per-thread instance.
+    :meth:`StagePlan.workspace` for a per-thread instance.
     """
 
     __slots__ = ("_buffers",)
@@ -159,10 +150,8 @@ class StagePlan:
     so concurrent readers are safe.  Mutable scratch lives in per-thread
     :class:`ChunkWorkspace` instances obtained via :meth:`workspace`.
 
-    :class:`RoutingPlan` specializes this class for the dedicated EDN
-    engines; every other compiled topology (delta, omega, dilated delta)
-    consumes a plain ``StagePlan`` through
-    :class:`~repro.sim.batched.CompiledStageRouter`.
+    Every compiled topology (EDN, delta, omega, dilated delta) consumes
+    a ``StagePlan`` through :class:`~repro.sim.batched.CompiledStageRouter`.
     """
 
     __slots__ = (
@@ -416,10 +405,9 @@ class StagePlan:
     def preferred_batch(self) -> int:
         """Cycles per chunk keeping a stage's working set cache-resident.
 
-        Matches the historical ``BatchedEDN.preferred_batch`` sizing —
-        about ``2**17`` frontier entries per chunk, at least 16 cycles —
-        so default-batch measurements reproduce the pre-plan chunking
-        (and therefore its traffic streams) exactly.
+        About ``2**17`` frontier entries per chunk, at least 16 cycles.
+        Default-batch measurements chunk (and therefore draw traffic) by
+        this size, so changing it changes every default-batch result.
         """
         return max(16, min(64, (1 << 17) // self.graph.n_inputs))
 
@@ -499,83 +487,6 @@ class BufferedState:
         return int(sum(int(occ.sum()) for occ in self.occupancy))
 
 
-class RoutingPlan(StagePlan):
-    """The ``EDN(a, b, c, l)`` specialization of :class:`StagePlan`.
-
-    Compiles the EDN's stage graph (``l`` hyperbar columns + the crossbar
-    column under a retirement order) and keeps the EDN-specific views the
-    dedicated engines consume: ``params``, per-stage digit ``shifts``,
-    and the historical ``gamma_table``/``switch_base`` accessors keyed
-    the way :class:`~repro.sim.batched.BatchedEDN` requests them.  Cache
-    keys remain ``(params, priority, retirement)``, so EDN plans and
-    generic stage plans coexist in one LRU without aliasing.
-    """
-
-    __slots__ = ("params", "retirement", "stage_shifts")
-
-    def __init__(
-        self,
-        params: EDNParams,
-        priority: str = "label",
-        retirement_order: Optional[RetirementOrder] = None,
-    ):
-        from repro.sim.stagegraph import edn_graph
-
-        if retirement_order is None:
-            retirement_order = RetirementOrder.canonical(params.l)
-        elif retirement_order.l != params.l:
-            raise ConfigurationError(
-                f"retirement order covers {retirement_order.l} digits, "
-                f"network has l={params.l}"
-            )
-        super().__init__(edn_graph(params, retirement_order), priority)
-        self.params = params
-        self.retirement = tuple(
-            retirement_order.position_for_stage(i) for i in range(1, params.l + 1)
-        )
-        # Stage i consumes digit index retirement[i-1] (0 = most
-        # significant), at bit offset c_bits + (l - 1 - index) * b_bits —
-        # exactly the compiled graph's hyperbar-column shifts.
-        self.stage_shifts = tuple(
-            stage.shift for stage in self.graph.stages[: params.l]
-        )
-
-    def gamma_table(self, stage: int, dtype) -> np.ndarray:
-        """Lookup table of the interstage gamma permutation after ``stage``.
-
-        One gather through this table replaces the ~8 elementwise ops of
-        the closed-form gamma per stage per chunk.  (Unlike
-        :meth:`perm_table`, this accessor compiles a table for *any*
-        hyperbar stage, including the identity boundary into the
-        crossbars — the historical EDN-engine contract.)
-        """
-        p = self.params
-        n_bits = ilog2(p.wires_after_stage(stage))
-        return self._perm(("gamma", n_bits, p.capacity_bits, p.fan_in_bits), dtype)
-
-    def switch_base(self, width: int, dtype) -> np.ndarray:
-        """Per-wire ``switch * b * c - 1`` row for one hyperbar-stage width."""
-        p = self.params
-        key = ("swbase", width, np.dtype(dtype).char)
-        row = self._tables.get(key)
-        if row is None:
-            switch = np.arange(width, dtype=dtype) >> ilog2(p.a)
-            row = (switch << ilog2(p.b * p.c)) - 1
-            self._tables[key] = row
-        return row
-
-    @property
-    def key(self) -> tuple:
-        """The cache key this plan is stored under."""
-        return (self.params, self.priority, self.retirement)
-
-    def __repr__(self) -> str:
-        return (
-            f"RoutingPlan({self.params}, priority={self.priority!r}, "
-            f"wire_dtype={self.wire_dtype.name}, packed={self.all_packed})"
-        )
-
-
 # ----------------------------------------------------------------------
 # The keyed LRU plan cache
 # ----------------------------------------------------------------------
@@ -586,15 +497,6 @@ _hits = 0
 _misses = 0
 
 
-def compile_plan(
-    params: EDNParams,
-    priority: str = "label",
-    retirement_order: Optional[RetirementOrder] = None,
-) -> RoutingPlan:
-    """Compile a fresh plan, bypassing the cache (tests, benchmarks)."""
-    return RoutingPlan(params, priority, retirement_order)
-
-
 def compile_stage_plan(
     graph: "StageGraph",
     priority: str = "label",
@@ -603,29 +505,6 @@ def compile_stage_plan(
 ) -> StagePlan:
     """Compile a fresh stage plan, bypassing the cache (tests, benchmarks)."""
     return StagePlan(graph, priority, faults, buffer_depth)
-
-
-def _cached(key: tuple, compile_fn) -> StagePlan:
-    """Shared LRU lookup for EDN and stage-graph plan keys."""
-    global _hits, _misses
-    with _cache_lock:
-        plan = _cache.get(key)
-        if plan is not None:
-            _cache.move_to_end(key)
-            _hits += 1
-            return plan
-        _misses += 1
-    # Compile outside the lock (compilation touches only local state);
-    # a concurrent duplicate compile is wasted work, not a hazard.
-    plan = compile_fn()
-    with _cache_lock:
-        existing = _cache.get(key)
-        if existing is not None:
-            return existing
-        _cache[key] = plan
-        while len(_cache) > PLAN_CACHE_MAXSIZE:
-            _cache.popitem(last=False)
-    return plan
 
 
 def stage_plan_for(
@@ -643,42 +522,32 @@ def stage_plan_for(
     routing semantics — including which wires are dead — changes the key
     and therefore misses.  A buffered plan (``buffer_depth`` set) folds
     the depth into its key, so buffered and unbuffered plans over the
-    same graph coexist without aliasing.  Thread-safe; shares the cache
-    (and :func:`plan_cache_info` counters) with the EDN :func:`plan_for`.
+    same graph coexist without aliasing.  Thread-safe.
     """
+    global _hits, _misses
     canonical = tuple(sorted(set(faults)))
     if buffer_depth is not None:
         key = (graph, priority, canonical, int(buffer_depth))
     else:
         key = (graph, priority, canonical)
-    return _cached(
-        key,
-        lambda: StagePlan(graph, priority, canonical, buffer_depth),
-    )
-
-
-def plan_for(
-    params: EDNParams,
-    priority: str = "label",
-    retirement_order: Optional[RetirementOrder] = None,
-) -> RoutingPlan:
-    """The shared compiled plan for one routing key, LRU-cached.
-
-    Two engines whose ``(params, priority, retirement order)`` agree get
-    the *same* plan object; anything that changes routing semantics
-    changes the key and therefore misses.  Thread-safe.
-    """
-    order = (
-        RetirementOrder.canonical(params.l)
-        if retirement_order is None
-        else retirement_order
-    )
-    key = (
-        params,
-        priority,
-        tuple(order.position_for_stage(i) for i in range(1, params.l + 1)),
-    )
-    return _cached(key, lambda: RoutingPlan(params, priority, order))
+    with _cache_lock:
+        plan = _cache.get(key)
+        if plan is not None:
+            _cache.move_to_end(key)
+            _hits += 1
+            return plan
+        _misses += 1
+    # Compile outside the lock (compilation touches only local state);
+    # a concurrent duplicate compile is wasted work, not a hazard.
+    plan = StagePlan(graph, priority, canonical, buffer_depth)
+    with _cache_lock:
+        existing = _cache.get(key)
+        if existing is not None:
+            return existing
+        _cache[key] = plan
+        while len(_cache) > PLAN_CACHE_MAXSIZE:
+            _cache.popitem(last=False)
+    return plan
 
 
 def clear_plan_cache() -> None:

@@ -298,8 +298,7 @@ def delta_graph(a: int, b: int, l: int) -> StageGraph:
 
     Identical stage-for-stage to ``edn_graph(EDNParams(a, b, 1, l))``
     (including the degenerate 1x1 crossbar column, which never blocks),
-    so compiled routing is bit-identical to the legacy
-    ``VectorizedEDN``-backed :class:`~repro.baselines.delta.DeltaNetwork`.
+    so a delta network and the ``c = 1`` EDN route bit-identically.
     """
     graph = edn_graph(EDNParams(a, b, 1, l))
     return StageGraph(
@@ -452,9 +451,9 @@ class StageGraphReference:
         return self.graph.n_outputs
 
     def route(self, dests: np.ndarray, rng: Optional[np.random.Generator] = None):
-        """Route one cycle; result matches the vectorized-EDN contract."""
+        """Route one cycle; result matches :meth:`~repro.sim.batched.CompiledStageRouter.route`."""
         from repro.core.exceptions import LabelError
-        from repro.sim.vectorized import VectorCycleResult
+        from repro.sim.batched import VectorCycleResult
 
         g = self.graph
         dests = np.asarray(dests, dtype=np.int64)
@@ -799,8 +798,7 @@ def _resolve_grouped(
 
     Label priority breaks ties by wire label (the paper's switch-local
     input-line priority); random priority by a fresh random sub-key drawn
-    in frontier order — both exactly as
-    :meth:`repro.sim.vectorized.VectorizedEDN._resolve` resolves them, so
+    in frontier order — the draw protocol of the compiled kernels, so
     per-cycle equivalence tests can compare engines bit for bit.
     """
     n = key.size

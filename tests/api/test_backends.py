@@ -210,7 +210,7 @@ class TestBackendSelection:
     def test_registry_names_are_stable(self):
         assert set(BACKENDS) == {
             "batched", "vectorized", "reference", "matching", "looping",
-            "native", "native:gpu",
+            "native",
         }
 
 
@@ -367,11 +367,10 @@ class TestPlanCacheCorrectness:
         assert cold.point == warm.point
 
     def test_priority_disciplines_get_distinct_plans(self):
-        from repro.sim.plan import plan_for
-        from repro.core.config import EDNParams
+        from repro.sim.plan import stage_plan_for
 
-        params = EDNParams(16, 4, 4, 2)
-        assert plan_for(params, "label") is not plan_for(params, "random")
+        graph = NetworkSpec.edn(16, 4, 4, 2).stage_graph()
+        assert stage_plan_for(graph, "label") is not stage_plan_for(graph, "random")
 
     def test_parallel_sweep_workers_share_usable_plans(self):
         from repro.api import RunConfig

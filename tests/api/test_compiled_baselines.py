@@ -4,8 +4,9 @@ The stage-graph refactor's contract, pinned from above the facade:
 
 * ``delta``/``omega``/``dilated`` specs compile to the plan-cached batched
   kernels (``backend="auto"`` -> ``batched``) and route **bit-identically**
-  to their legacy per-cycle implementations — the vectorized EDN for the
-  delta, the shuffle-composed vectorized EDN for the omega, and a
+  to independent per-cycle implementations — the sort-based stage-graph
+  interpreter on the ``c = 1`` EDN for the delta, the same interpreter on
+  a shuffle-composed ``EDN(2,2,1,l)`` for the omega, and a
   from-scratch pure-Python simulator for the dilated delta — across
   priorities, seeds, and batch sizes;
 * the counts-only kernel agrees with per-message routing, and whole
@@ -28,7 +29,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.sim.montecarlo import measure_acceptance
 from repro.sim.plan import clear_plan_cache, plan_cache_info
 from repro.sim.rng import make_rng, spawn
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 
 IDLE = -1
 
@@ -53,18 +54,20 @@ def demands_for(spec: NetworkSpec, batch: int, seed: int) -> np.ndarray:
 
 
 def legacy_delta_rows(spec, demands, rngs):
-    """The pre-refactor delta path: VectorizedEDN on the c=1 EDN."""
-    engine = VectorizedEDN(spec.edn_params, priority=spec.priority)
+    """The delta as the c=1 EDN, on the per-cycle interpreter."""
+    engine = StageGraphReference(edn_graph(spec.edn_params), priority=spec.priority)
     return [engine.route(row, rng) for row, rng in zip(demands, rngs)]
 
 
 def legacy_omega_rows(spec, demands, rngs):
-    """The pre-refactor omega path: perfect shuffle + VectorizedEDN."""
+    """The omega as perfect shuffle + the c=1 EDN, on the interpreter."""
     n = spec.shape[0]
     stages = int(n).bit_length() - 1
     idx = np.arange(n, dtype=np.int64)
     shuffle = ((idx << 1) | (idx >> (stages - 1))) & (n - 1)
-    engine = VectorizedEDN(EDNParams(2, 2, 1, stages), priority=spec.priority)
+    engine = StageGraphReference(
+        edn_graph(EDNParams(2, 2, 1, stages)), priority=spec.priority
+    )
     rows = []
     for row, rng in zip(demands, rngs):
         shuffled = np.full(n, IDLE, dtype=np.int64)

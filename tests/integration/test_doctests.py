@@ -22,7 +22,7 @@ DOCUMENTED_MODULES = [
     "repro.core.network",
     "repro.sim.engine",
     "repro.sim.stats",
-    "repro.sim.vectorized",
+    "repro.sim.batched",
     "repro.baselines.delta",
     "repro.baselines.omega",
     "repro.baselines.benes",

@@ -1,10 +1,15 @@
-"""Integration: the vectorized engine reproduces the reference engine exactly.
+"""Integration: the compiled EDN reproduces the reference engine.
 
 The reference engine (:mod:`repro.core.network`) is the semantic ground
-truth — one switch object per hyperbar, explicit wires.  The vectorized
-engine must make *identical* per-message decisions (same winners, same
-blocking stages, same outputs) under label priority and first-free wires,
-for every retirement order.
+truth — one switch object per hyperbar, explicit wires.  The compiled
+stage-graph router behind :class:`BatchedEDN` must make *identical*
+per-message decisions (same winners, same blocking stages, same outputs)
+under label priority and first-free wires, for every retirement order.
+Under random priority the two engines draw tie-breaks from different
+streams, so only discipline-independent facts are compared per cycle:
+stage-1 blocking (contention among the inputs themselves) and that
+every delivered message reaches its requested output (after the fix-up
+stage of a non-canonical order).
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.network import EDNetwork
 from repro.core.tags import RetirementOrder
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.batched import BatchedEDN
+from repro.sim.montecarlo import ReferenceRouterAdapter, measure_acceptance
+from repro.workloads import UniformTraffic
 
 CONFIGS = [
     (16, 4, 4, 2),
@@ -29,9 +36,9 @@ CONFIGS = [
 
 
 def _compare_one_cycle(params: EDNParams, order, dests: np.ndarray) -> None:
-    vectorized = VectorizedEDN(params, retirement_order=order)
+    compiled = BatchedEDN(params, retirement_order=order)
     reference = EDNetwork(params, retirement_order=order)
-    vec = vectorized.route(dests)
+    vec = compiled.route(dests)
     ref = reference.route_destinations(
         {int(s): int(d) for s, d in enumerate(dests) if d >= 0}
     )
@@ -82,3 +89,55 @@ class TestEquivalence:
         dests = np.full(params.num_inputs, -1, dtype=np.int64)
         dests[:n] = np.arange(n)
         _compare_one_cycle(params, None, dests)
+
+
+ORDERS = ["canonical", "reversed"]
+
+
+def _order(params: EDNParams, name: str):
+    return None if name == "canonical" else RetirementOrder.reversed_order(params.l)
+
+
+@pytest.mark.parametrize("order_name", ORDERS)
+@pytest.mark.parametrize("cfg", [(16, 4, 4, 2), (8, 2, 4, 3)], ids=lambda c: f"EDN{c}")
+class TestRandomPriority:
+    def test_discipline_independent_outcomes_agree(self, cfg, order_name, rng):
+        params = EDNParams(*cfg)
+        order = _order(params, order_name)
+        compiled = BatchedEDN(params, priority="random", retirement_order=order)
+        reference = EDNetwork(params, priority="random", retirement_order=order)
+        for _ in range(6):
+            dests = rng.integers(0, params.num_outputs, size=params.num_inputs)
+            dests = np.where(rng.random(params.num_inputs) < 0.8, dests, -1)
+            vec = compiled.route(dests, rng)
+            ref = reference.route_destinations(
+                {int(s): int(d) for s, d in enumerate(dests) if d >= 0}, rng=rng
+            )
+            assert (vec.blocked_stage == 1).sum() == sum(
+                o.blocked_stage == 1 for o in ref.outcomes
+            )
+            # A non-canonical order lands on a digit-permuted output that
+            # the fix-up stage maps back to the requested one.
+            fixup = order.fixup_permutation(params) if order else (lambda out: out)
+            for source in np.flatnonzero(vec.blocked_stage == 0):
+                assert fixup(int(vec.output[source])) == dests[source]
+            for o in ref.outcomes:
+                if o.delivered:
+                    assert fixup(o.output) == dests[o.message.source]
+
+    def test_acceptance_agrees_statistically(self, cfg, order_name):
+        params = EDNParams(*cfg)
+        order = _order(params, order_name)
+        traffic = UniformTraffic(params.num_inputs, params.num_outputs, 1.0)
+        compiled = measure_acceptance(
+            BatchedEDN(params, priority="random", retirement_order=order),
+            traffic, cycles=200, seed=11,
+        )
+        reference = measure_acceptance(
+            ReferenceRouterAdapter(
+                EDNetwork(params, priority="random", retirement_order=order)
+            ),
+            traffic, cycles=200, seed=12,
+        )
+        spread = compiled.acceptance.halfwidth + reference.acceptance.halfwidth
+        assert abs(compiled.point - reference.point) <= spread

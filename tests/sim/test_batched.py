@@ -10,7 +10,7 @@ from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.network import EDNetwork
 from repro.core.tags import RetirementOrder
 from repro.sim.batched import BatchedEDN
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 
 #: Shapes covering deltas (c=1), wide buckets, deep networks, the MP-1
 #: router, and the one-hot fallback (b = 16 packs 128 lane bits).
@@ -32,16 +32,21 @@ def _random_batch(rng, params: EDNParams, batch: int, rate: float = 0.8) -> np.n
     return dests
 
 
+def _reference(params: EDNParams, order=None, priority: str = "label"):
+    """The per-cycle stage-graph interpreter of the same EDN."""
+    return StageGraphReference(edn_graph(params, order), priority=priority)
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"EDN{c}")
 class TestLabelPriorityEquivalence:
-    def test_matches_vectorized_per_cycle(self, cfg, rng):
+    def test_matches_stage_graph_reference(self, cfg, rng):
         params = EDNParams(*cfg)
         batched = BatchedEDN(params)
-        vectorized = VectorizedEDN(params)
+        reference = _reference(params)
         dests = _random_batch(rng, params, batch=6)
         result = batched.route_batch(dests)
         for i in range(dests.shape[0]):
-            ref = vectorized.route(dests[i])
+            ref = reference.route(dests[i])
             assert np.array_equal(result.output[i], ref.output)
             assert np.array_equal(result.blocked_stage[i], ref.blocked_stage)
 
@@ -49,11 +54,11 @@ class TestLabelPriorityEquivalence:
         params = EDNParams(*cfg)
         order = RetirementOrder.reversed_order(params.l)
         batched = BatchedEDN(params, retirement_order=order)
-        vectorized = VectorizedEDN(params, retirement_order=order)
+        reference = _reference(params, order)
         dests = _random_batch(rng, params, batch=4, rate=1.0)
         result = batched.route_batch(dests)
         for i in range(dests.shape[0]):
-            ref = vectorized.route(dests[i])
+            ref = reference.route(dests[i])
             assert np.array_equal(result.output[i], ref.output)
             assert np.array_equal(result.blocked_stage[i], ref.blocked_stage)
 
@@ -96,10 +101,10 @@ class TestLabelPriorityEquivalence:
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"EDN{c}")
 class TestRandomPriorityEquivalence:
-    def test_per_cycle_generators_match_vectorized(self, cfg, rng):
+    def test_per_cycle_generators_match_stage_graph_reference(self, cfg, rng):
         params = EDNParams(*cfg)
         batched = BatchedEDN(params, priority="random")
-        vectorized = VectorizedEDN(params, priority="random")
+        reference = _reference(params, priority="random")
         batch = 5
         dests = _random_batch(rng, params, batch=batch, rate=1.0)
         children = np.random.SeedSequence(2024).spawn(batch)
@@ -107,7 +112,7 @@ class TestRandomPriorityEquivalence:
             dests, [np.random.default_rng(child) for child in children]
         )
         for i in range(batch):
-            ref = vectorized.route(dests[i], np.random.default_rng(children[i]))
+            ref = reference.route(dests[i], np.random.default_rng(children[i]))
             assert np.array_equal(result.output[i], ref.output)
             assert np.array_equal(result.blocked_stage[i], ref.blocked_stage)
 
@@ -115,7 +120,7 @@ class TestRandomPriorityEquivalence:
         params = EDNParams(*cfg)
         order = RetirementOrder.reversed_order(params.l)
         batched = BatchedEDN(params, priority="random", retirement_order=order)
-        vectorized = VectorizedEDN(params, priority="random", retirement_order=order)
+        reference = _reference(params, order, priority="random")
         batch = 3
         dests = _random_batch(rng, params, batch=batch)
         children = np.random.SeedSequence(7).spawn(batch)
@@ -123,7 +128,7 @@ class TestRandomPriorityEquivalence:
             dests, [np.random.default_rng(child) for child in children]
         )
         for i in range(batch):
-            ref = vectorized.route(dests[i], np.random.default_rng(children[i]))
+            ref = reference.route(dests[i], np.random.default_rng(children[i]))
             assert np.array_equal(result.output[i], ref.output)
             assert np.array_equal(result.blocked_stage[i], ref.blocked_stage)
 

@@ -23,12 +23,7 @@ from repro.core.faults import WireFault
 from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
 from repro.sim.batched import CompiledStageRouter
-from repro.sim.native import (
-    NativeStageRouter,
-    available_tiers,
-    device_counts,
-    kernel_for,
-)
+from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
     delta_graph,
@@ -142,7 +137,33 @@ class TestNumbaTier:
         assert_counts_equal(got, want)
 
 
+def _build_cc_kernel(_):
+    """Pool target: build and load one plan's C kernel from an empty cache."""
+    from repro.sim.plan import compile_stage_plan
+
+    native._spec_fns.clear()  # forget kernels the forking parent loaded
+    try:
+        kernel_for(compile_stage_plan(delta_graph(4, 4, 3)), "cc")
+    except Exception as exc:  # report, so every worker's outcome is seen
+        return repr(exc)
+    return None
+
+
 class TestKernelCache:
+    @pytest.mark.skipif("cc" not in available_tiers(), reason="no C toolchain")
+    def test_concurrent_cold_builds_all_load_the_kernel(self, tmp_path, monkeypatch):
+        # Forked workers that meet a plan shape at the same moment all
+        # compile it into one empty cache; none may load an object built
+        # from a source file another worker was rewriting.
+        import multiprocessing
+
+        for trial in range(6):
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / str(trial)))
+            with multiprocessing.get_context("fork").Pool(4) as pool:
+                outcomes = pool.map_async(_build_cc_kernel, range(4)).get(timeout=120)
+            errors = [e for e in outcomes if e]
+            assert errors == []
+
     def test_warm_equals_cold(self):
         # Two routers over equivalent graphs share one cached plan, and
         # the lowered kernel rides it: the second construction reuses the
@@ -171,6 +192,60 @@ class TestParallelSweepAgreement:
         for a, b in zip(inline, fanned):
             assert a.point == b.point
             assert a.blocked_by_stage == b.blocked_by_stage
+
+    def test_fork_after_inline_kernel_call_does_not_hang(self):
+        # A kernel call in the parent before the sweep forks its workers
+        # is the pattern that deadlocked forked workers while the C tier
+        # ran a thread pool.  The child runs with the host's default
+        # thread settings, and a hang fails here instead of stalling.
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.api import NetworkSpec, RunConfig, build_router
+            from repro.api.jobs import SweepCell
+            from repro.experiments.parallel import ParallelSweep
+
+            specs = [NetworkSpec.edn(16, 4, 4, 2), NetworkSpec.delta(4, 4, 3)]
+            router = build_router(specs[0], "native")
+            router.route_batch_counts(np.zeros((64, router.n_inputs), dtype=np.int64))
+            config = RunConfig(cycles=64, seed=1, batch=16, backend="native")
+            cells = [SweepCell(spec, config) for spec in specs]
+            inline = ParallelSweep(jobs=1).map_cells(cells)
+            fanned = ParallelSweep(jobs=2).map_cells(cells)
+            key = lambda m: (m.point, m.blocked_by_stage)
+            assert list(map(key, inline)) == list(map(key, fanned))
+            print("ok")
+            """
+        )
+        env = dict(os.environ)
+        env.pop("OMP_NUM_THREADS", None)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=90)
+        except subprocess.TimeoutExpired:
+            # Reap the forked pool workers too, not just the child.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("jobs=2 sweep after an inline native call hung for 90 s")
+        assert proc.returncode == 0, err
+        assert out.strip() == "ok"
 
     def test_buffered_cell_accepts_native(self):
         from dataclasses import replace
@@ -206,40 +281,6 @@ class TestRegistryGating:
         from repro.api import available_backends
 
         assert "native" not in available_backends(spec)
-
-    def test_gpu_backend_never_picked_by_auto(self):
-        spec = NetworkSpec.delta(4, 4, 2)
-        assert resolve_backend(spec).name != "native:gpu"
-
-    def test_gpu_backend_rejects_faults(self):
-        spec = NetworkSpec.delta(4, 4, 2, faults=(WireFault(1, 0, 0),))
-        with pytest.raises(ConfigurationError, match="does not support"):
-            build_router(spec, "native:gpu")
-
-
-class TestGpuPath:
-    def test_array_api_counts_match_batched_on_numpy(self):
-        # The Array-API kernel with xp=numpy is the always-testable half
-        # of the GPU story; CuPy engages automatically when importable.
-        graph = delta_graph(4, 4, 3)
-        dests = demands(graph, 17, 4)
-        router = CompiledStageRouter(graph)
-        want = router.route_batch_counts(dests)
-        got = device_counts(router._plan, dests, np)
-        assert_counts_equal(got, want)
-
-    def test_gpu_router_matches_batched(self):
-        graph = omega_graph(64)
-        dests = demands(graph, 19, 3)
-        want = CompiledStageRouter(graph).route_batch_counts(dests)
-        got = NativeStageRouter(graph, device="gpu").route_batch_counts(dests)
-        assert_counts_equal(got, want)
-
-    def test_cupy_namespace_when_importable(self):
-        cupy = pytest.importorskip("cupy")
-        from repro.sim.native import gpu_namespace
-
-        assert gpu_namespace() is cupy
 
 
 class TestWideRadixAllocationFree:

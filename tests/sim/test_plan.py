@@ -1,4 +1,4 @@
-"""Unit tests for compiled routing plans, workspaces, and the plan cache."""
+"""Unit tests for compiled EDN stage plans, workspaces, and the plan cache."""
 
 from __future__ import annotations
 
@@ -14,13 +14,13 @@ from repro.sim.batched import BatchedEDN
 from repro.sim.plan import (
     PLAN_CACHE_MAXSIZE,
     ChunkWorkspace,
-    RoutingPlan,
     clear_plan_cache,
-    compile_plan,
+    compile_stage_plan,
+    gamma_permutation,
     plan_cache_info,
-    plan_for,
+    stage_plan_for,
 )
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import edn_graph
 
 #: Shapes covering deltas (c=1), wide buckets, deep networks, the MP-1
 #: router, and the one-hot fallback (b = 16 packs 128 lane bits).
@@ -73,38 +73,37 @@ class TestChunkWorkspace:
         assert ws.nbytes == 0
 
 
-class TestRoutingPlan:
-    def test_stage_shifts_match_engine(self):
-        params = EDNParams(16, 4, 4, 3)
-        plan = compile_plan(params)
-        engine = VectorizedEDN(params, plan=None)
-        assert list(plan.stage_shifts) == engine._stage_shifts
+def _edn_plan(params: EDNParams, priority: str = "label"):
+    return compile_stage_plan(edn_graph(params), priority)
 
-    def test_gamma_table_matches_closed_form(self):
+
+class TestEdnStagePlan:
+    def test_link_tables_match_gamma_closed_form(self):
         params = EDNParams(16, 4, 4, 3)
-        plan = compile_plan(params)
-        engine = VectorizedEDN(params, plan=None)
+        plan = _edn_plan(params)
         for stage in range(1, params.l):
             width = params.wires_after_stage(stage)
             labels = np.arange(width, dtype=np.int64)
-            expected = engine._gamma_vec(labels, width.bit_length() - 1)
-            assert np.array_equal(plan.gamma_table(stage, np.int64), expected)
+            expected = gamma_permutation(
+                labels, width.bit_length() - 1, params.capacity_bits, params.fan_in_bits
+            )
+            assert np.array_equal(plan.perm_table(stage - 1, np.int64), expected)
 
     def test_narrow_dtype_selection(self):
-        assert compile_plan(EDNParams(16, 4, 4, 2)).wire_dtype == np.int16
+        assert _edn_plan(EDNParams(16, 4, 4, 2)).wire_dtype == np.int16
         # 4^8 * 4 = 262144 outputs overflow int16 labels
-        assert compile_plan(EDNParams(16, 4, 4, 8)).wire_dtype == np.int32
+        assert _edn_plan(EDNParams(16, 4, 4, 8)).wire_dtype == np.int32
 
     def test_retirement_order_validated(self):
         with pytest.raises(ConfigurationError):
-            compile_plan(EDNParams(16, 4, 4, 2), retirement_order=RetirementOrder.canonical(3))
+            BatchedEDN(EDNParams(16, 4, 4, 2), retirement_order=RetirementOrder.canonical(3))
 
     def test_bad_priority_rejected(self):
         with pytest.raises(ConfigurationError):
-            compile_plan(EDNParams(16, 4, 4, 2), priority="fifo")
+            _edn_plan(EDNParams(16, 4, 4, 2), priority="fifo")
 
     def test_workspace_is_per_thread(self):
-        plan = compile_plan(EDNParams(16, 4, 4, 2))
+        plan = _edn_plan(EDNParams(16, 4, 4, 2))
         main_ws = plan.workspace()
         assert plan.workspace() is main_ws  # stable within a thread
         seen = {}
@@ -124,8 +123,8 @@ class TestPlanCache:
 
     def test_equal_keys_share_one_plan(self):
         params = EDNParams(16, 4, 4, 2)
-        first = plan_for(params)
-        second = plan_for(EDNParams(16, 4, 4, 2))
+        first = stage_plan_for(edn_graph(params))
+        second = stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
         assert first is second
         info = plan_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
@@ -134,15 +133,15 @@ class TestPlanCache:
         params = EDNParams(16, 4, 4, 2)
         one, two = BatchedEDN(params), BatchedEDN(params)
         assert one._plan is two._plan
-        assert one._gamma_table(1, np.int32) is two._gamma_table(1, np.int32)
+        assert one._plan.perm_table(0, np.int32) is two._plan.perm_table(0, np.int32)
 
     def test_semantic_fields_change_the_key(self):
         params = EDNParams(16, 4, 4, 2)
-        base = plan_for(params)
-        assert plan_for(params, priority="random") is not base
-        assert plan_for(EDNParams(16, 4, 4, 3)) is not base
+        base = stage_plan_for(edn_graph(params))
+        assert stage_plan_for(edn_graph(params), priority="random") is not base
+        assert stage_plan_for(edn_graph(EDNParams(16, 4, 4, 3))) is not base
         reversed_order = RetirementOrder.reversed_order(params.l)
-        assert plan_for(params, retirement_order=reversed_order) is not base
+        assert stage_plan_for(edn_graph(params, reversed_order)) is not base
 
     def test_lru_eviction_bounds_the_cache(self):
         # Distinct small keys: vary (a, b, c) shapes and priorities rather
@@ -157,7 +156,7 @@ class TestPlanCache:
         count = 0
         for a, b, c in shapes:
             for priority in ("label", "random"):
-                plan_for(EDNParams(a, b, c, 1), priority)
+                stage_plan_for(edn_graph(EDNParams(a, b, c, 1)), priority)
                 count += 1
                 if count >= PLAN_CACHE_MAXSIZE + 4:
                     break
@@ -167,7 +166,7 @@ class TestPlanCache:
         assert plan_cache_info()["size"] == PLAN_CACHE_MAXSIZE
 
     def test_clear_resets(self):
-        plan_for(EDNParams(16, 4, 4, 2))
+        stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
         clear_plan_cache()
         info = plan_cache_info()
         assert info == {

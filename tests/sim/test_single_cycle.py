@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized EDN router."""
+"""Unit tests for one-cycle ``route`` on the compiled EDN router."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.tags import RetirementOrder
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.batched import BatchedEDN
 
 
 class TestBasics:
     def test_lone_message_delivered(self, small_params):
-        net = VectorizedEDN(small_params)
+        net = BatchedEDN(small_params)
         dests = np.full(small_params.num_inputs, -1, dtype=np.int64)
         dests[0] = small_params.num_outputs - 1
         result = net.route(dests)
@@ -22,7 +22,7 @@ class TestBasics:
         assert result.blocked_stage[0] == 0
 
     def test_every_pair_connects(self, small_params):
-        net = VectorizedEDN(small_params)
+        net = BatchedEDN(small_params)
         for source in range(0, small_params.num_inputs, 3):
             for dest in range(0, small_params.num_outputs, 5):
                 dests = np.full(small_params.num_inputs, -1, dtype=np.int64)
@@ -32,7 +32,7 @@ class TestBasics:
 
     def test_idle_inputs_marked(self):
         p = EDNParams(16, 4, 4, 2)
-        net = VectorizedEDN(p)
+        net = BatchedEDN(p)
         dests = np.full(p.num_inputs, -1, dtype=np.int64)
         result = net.route(dests)
         assert result.num_offered == 0
@@ -40,20 +40,20 @@ class TestBasics:
         assert result.acceptance_ratio == 1.0
 
     def test_all_to_one_single_delivery(self, small_params):
-        net = VectorizedEDN(small_params)
+        net = BatchedEDN(small_params)
         dests = np.zeros(small_params.num_inputs, dtype=np.int64)
         result = net.route(dests)
         assert result.num_delivered == 1
 
     def test_no_duplicate_outputs(self, big_params, rng):
-        net = VectorizedEDN(big_params)
+        net = BatchedEDN(big_params)
         dests = rng.integers(0, big_params.num_outputs, size=big_params.num_inputs)
         result = net.route(dests)
         delivered_outputs = result.output[result.blocked_stage == 0]
         assert len(np.unique(delivered_outputs)) == len(delivered_outputs)
 
     def test_blocked_stage_range(self, big_params, rng):
-        net = VectorizedEDN(big_params)
+        net = BatchedEDN(big_params)
         dests = rng.integers(0, big_params.num_outputs, size=big_params.num_inputs)
         result = net.route(dests)
         blocked = result.blocked_stage[result.blocked_stage > 0]
@@ -62,7 +62,7 @@ class TestBasics:
         )
 
     def test_histogram_matches_counts(self, big_params, rng):
-        net = VectorizedEDN(big_params)
+        net = BatchedEDN(big_params)
         dests = rng.integers(0, big_params.num_outputs, size=big_params.num_inputs)
         result = net.route(dests)
         histogram = result.blocked_stage_histogram()
@@ -71,13 +71,13 @@ class TestBasics:
 
 class TestValidation:
     def test_wrong_shape(self):
-        net = VectorizedEDN(EDNParams(16, 4, 4, 2))
+        net = BatchedEDN(EDNParams(16, 4, 4, 2))
         with pytest.raises(LabelError):
             net.route(np.zeros(10, dtype=np.int64))
 
     def test_out_of_range_destination(self):
         p = EDNParams(16, 4, 4, 2)
-        net = VectorizedEDN(p)
+        net = BatchedEDN(p)
         dests = np.full(p.num_inputs, -1, dtype=np.int64)
         dests[0] = p.num_outputs
         with pytest.raises(LabelError):
@@ -85,30 +85,30 @@ class TestValidation:
 
     def test_random_priority_needs_rng(self):
         p = EDNParams(16, 4, 4, 2)
-        net = VectorizedEDN(p, priority="random")
+        net = BatchedEDN(p, priority="random")
         with pytest.raises(ConfigurationError):
             net.route(np.zeros(p.num_inputs, dtype=np.int64))
 
     def test_unknown_priority(self):
         with pytest.raises(ConfigurationError):
-            VectorizedEDN(EDNParams(16, 4, 4, 2), priority="fifo")
+            BatchedEDN(EDNParams(16, 4, 4, 2), priority="fifo")
 
     def test_order_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            VectorizedEDN(EDNParams(16, 4, 4, 2), retirement_order=RetirementOrder.canonical(3))
+            BatchedEDN(EDNParams(16, 4, 4, 2), retirement_order=RetirementOrder.canonical(3))
 
 
 class TestMasparIdentity:
-    """The Figure 5/6 behaviour at vectorized scale."""
+    """The Figure 5/6 behaviour at full MP-1 scale."""
 
     def test_canonical_identity_blocks(self, maspar_params):
-        net = VectorizedEDN(maspar_params)
+        net = BatchedEDN(maspar_params)
         result = net.route(np.arange(maspar_params.num_inputs))
         assert result.num_delivered == 64
 
     def test_reversed_identity_routes(self, maspar_params):
         order = RetirementOrder.reversed_order(maspar_params.l)
-        net = VectorizedEDN(maspar_params, retirement_order=order)
+        net = BatchedEDN(maspar_params, retirement_order=order)
         result = net.route(np.arange(maspar_params.num_inputs))
         assert result.num_delivered == maspar_params.num_inputs
 
@@ -118,7 +118,7 @@ class TestScale:
         # A 65536-input EDN(8,2,4,14); one full-load cycle must route sanely.
         p = EDNParams(8, 2, 4, 14)
         assert p.num_inputs == 65_536
-        net = VectorizedEDN(p)
+        net = BatchedEDN(p)
         rng = np.random.default_rng(0)
         dests = rng.integers(0, p.num_outputs, size=p.num_inputs)
         result = net.route(dests)
@@ -134,7 +134,7 @@ class TestAllIdle:
     """Regression: an all-idle demand vector must route to a clean no-op."""
 
     def test_all_idle_cycle(self, small_params):
-        net = VectorizedEDN(small_params)
+        net = BatchedEDN(small_params)
         result = net.route(np.full(small_params.num_inputs, -1, dtype=np.int64))
         assert result.num_offered == 0
         assert result.num_delivered == 0
@@ -145,8 +145,10 @@ class TestAllIdle:
 
     def test_resolve_handles_empty_key_array(self):
         # new_group[0] = True used to IndexError on an empty frontier.
-        net = VectorizedEDN(EDNParams(16, 4, 4, 2))
+        net = BatchedEDN(EDNParams(16, 4, 4, 2), priority="random")
         empty = np.zeros(0, dtype=np.int64)
-        accept, ranks = net._resolve(empty, empty, net.params.c, None)
+        accept, ranks = net._resolve_sparse(
+            empty, empty, 1, None, np.random.default_rng(0), net.params.c
+        )
         assert accept.shape == (0,)
         assert ranks.shape == (0,)

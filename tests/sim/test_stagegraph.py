@@ -9,11 +9,8 @@ from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.sim.batched import BatchedEDN, CompiledStageRouter
 from repro.sim.plan import (
-    RoutingPlan,
-    StagePlan,
     clear_plan_cache,
     compile_stage_plan,
-    plan_for,
     stage_plan_for,
 )
 from repro.sim.rng import make_rng, spawn
@@ -120,21 +117,12 @@ class TestBuilders:
 
 
 class TestStagePlan:
-    def test_routing_plan_is_a_stage_plan(self):
-        plan = plan_for(EDNParams(16, 4, 4, 2))
-        assert isinstance(plan, RoutingPlan) and isinstance(plan, StagePlan)
-        assert plan.graph == edn_graph(EDNParams(16, 4, 4, 2))
-        # The legacy EDN views survive the generalization.
-        assert plan.stage_shifts == (4, 2)
-        assert plan.gamma_table(1, np.int16).dtype == np.int16
-
-    def test_gamma_tables_match_the_generic_perm_tables(self):
-        plan = plan_for(EDNParams(8, 2, 4, 3))
-        for stage in range(1, 3):  # interior boundaries only
-            np.testing.assert_array_equal(
-                plan.gamma_table(stage, np.int32),
-                plan.perm_table(stage - 1, np.int32),
-            )
+    def test_batched_edn_runs_on_the_edn_graph_plan(self):
+        params = EDNParams(16, 4, 4, 2)
+        plan = BatchedEDN(params)._plan
+        assert plan is stage_plan_for(edn_graph(params))
+        assert [stage.shift for stage in plan.graph.stages] == [4, 2, 0]
+        assert plan.perm_table(0, np.int16).dtype == np.int16
 
     @pytest.mark.parametrize("graph", ALL_GRAPHS)
     def test_plan_cache_round_trip(self, graph):
@@ -158,7 +146,7 @@ class TestStagePlan:
 
     def test_edn_and_graph_plans_never_alias(self):
         clear_plan_cache()
-        edn_plan = plan_for(EDNParams(4, 4, 1, 3))
+        edn_plan = stage_plan_for(edn_graph(EDNParams(4, 4, 1, 3)))
         graph_plan = stage_plan_for(delta_graph(4, 4, 3))
         assert edn_plan is not graph_plan
 
@@ -182,17 +170,6 @@ class TestReferenceInterpreter:
             np.testing.assert_array_equal(
                 result.blocked_stage[i], expected.blocked_stage
             )
-
-    def test_edn_graph_routes_like_the_dedicated_engine(self):
-        params = EDNParams(16, 4, 4, 2)
-        compiled = CompiledStageRouter(edn_graph(params))
-        dedicated = BatchedEDN(params)
-        rng = make_rng(1)
-        demands = rng.integers(-1, params.num_outputs, size=(6, params.num_inputs))
-        a = compiled.route_batch(demands)
-        b = dedicated.route_batch(demands)
-        np.testing.assert_array_equal(a.output, b.output)
-        np.testing.assert_array_equal(a.blocked_stage, b.blocked_stage)
 
     def test_interpreter_validates_inputs(self):
         from repro.core.exceptions import LabelError
