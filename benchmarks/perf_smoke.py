@@ -1,8 +1,9 @@
 """Perf smoke harness: batched vs per-cycle Monte-Carlo wall-clock.
 
 Times ``measure_acceptance`` over the same workload one cycle at a time
-(:class:`~repro.sim.batched.BatchedEDN` ``route``, ``batch=1``) and in
-batched chunks (the same router, auto chunking) at
+through the ``vectorized`` backend (the sort-based
+:class:`~repro.sim.stagegraph.StageGraphReference`, ``batch=1``) and in
+batched chunks (:class:`~repro.sim.batched.BatchedEDN`, auto chunking) at
 ``N`` in {1024, 4096, 16384} (the ``EDN(16,4,4,l)`` family for
 ``l`` in {4, 5, 6}), then writes ``BENCH_batched_routing.json`` at the
 repository root so later PRs can track the perf trajectory.
@@ -42,9 +43,10 @@ clients pushing >=1000 overlapping cells through one instance (server
 dedupe rate floor 0.5), per-worker plan-cache hit rates, streaming
 partials, and service-vs-inline bit-identity — into ``BENCH_serve.json``.
 ``--saturation`` times buffered stepping at N=4096 — the compiled
-per-wire FIFO kernels against the legacy per-packet deque engine (>=5x
-floor, throughput agreement asserted) — and records the ``saturation``
-experiment's detected knees at N=64 into ``BENCH_saturation.json``.
+per-wire FIFO kernels against the per-packet ``BufferedStageReference``
+oracle (>=5x floor, bit-identical measurements asserted) — and records
+the ``saturation`` experiment's detected knees at N=64 into
+``BENCH_saturation.json``.
 ``--fault-buffered`` times faulty vs fault-free buffered stepping at
 N=4096 through the same compiled FIFO kernels (fault-overhead ceiling
 1.5x asserted, whole-run packet conservation and ``apply_faults`` drop
@@ -128,12 +130,12 @@ SATURATION_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_saturation.j
 #: EDN(16,4,4,5) puts the buffered comparison at N = 4096 terminals.
 SATURATION_STAGES = 5
 SATURATION_DEPTH = 2
-#: Cycle budget of the timed buffered runs (the legacy deque engine pays
-#: ~50 ms/cycle at N = 4096 — it walks every FIFO in Python).
+#: Cycle budget of the timed buffered runs (the per-packet reference
+#: pays ~60 ms/cycle at N = 4096 — it walks every packet in Python).
 SATURATION_CYCLES = 40
 SATURATION_WARMUP = 10
-#: Compiled-vs-legacy-deque speedup floor asserted at N = 4096 (the
-#: merge criterion of the buffered stage-graph PR).
+#: Compiled-vs-reference speedup floor asserted at N = 4096 (the merge
+#: criterion of the buffered stage-graph PR).
 SATURATION_SPEEDUP_FLOOR = 5.0
 #: Knee curves are swept at N = 64 (EDN(16,4,4,2) and kin) where the
 #: full rate ladder stays cheap.
@@ -199,11 +201,16 @@ def run(output: Path = OUTPUT) -> dict:
     for n_inputs, stages in SIZES.items():
         params = EDNParams(16, 4, 4, stages)
         assert params.num_inputs == n_inputs
+        spec = NetworkSpec.edn(16, 4, 4, stages)
         traffic = UniformTraffic(n_inputs, n_inputs, 1.0)
         per_cycle_s, per_cycle = _best_of(
             REPEATS,
             lambda: measure_acceptance(
-                BatchedEDN(params), traffic, cycles=CYCLES, seed=SEED, batch=1
+                build_router(spec, "vectorized"),
+                traffic,
+                cycles=CYCLES,
+                seed=SEED,
+                batch=1,
             ),
         )
         batched_engine = BatchedEDN(params)
@@ -234,7 +241,7 @@ def run(output: Path = OUTPUT) -> dict:
         "benchmark": "batched_routing",
         "workload": f"measure_acceptance, uniform traffic r=1.0, {CYCLES} cycles, seed {SEED}",
         "engines": {
-            "per_cycle": "BatchedEDN.route via measure_acceptance(batch=1)",
+            "per_cycle": "StageGraphReference (backend 'vectorized') via measure_acceptance(batch=1)",
             "batched": "BatchedEDN via measure_acceptance(batch=auto)",
         },
         "host": {
@@ -957,33 +964,26 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
 
 
 def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
-    """Buffered stepping: compiled kernels vs the legacy deque engine; write JSON.
+    """Buffered stepping: compiled kernels vs the per-packet oracle; write JSON.
 
     Times one buffered run of ``EDN(16,4,4,5)`` (N = 4096) at full
-    offered load, depth :data:`SATURATION_DEPTH`, through the compiled
-    buffered stage-graph path (:func:`repro.sim.buffered.measure_buffered`)
-    and the original per-packet deque engine
-    (:class:`repro.ext.buffered.DequeBufferedEDN`), under identical
-    ``(rate, cycles, warmup, seed)``.  The engines share no code and
-    consume randomness in different orders, so throughput is checked for
-    statistical agreement (not bit-identity — that cross-check lives in
-    ``tests/sim/test_buffered_core.py`` against
-    :class:`~repro.sim.stagegraph.BufferedStageReference`).  Asserts the
-    :data:`SATURATION_SPEEDUP_FLOOR` x per-cycle speedup at N = 4096
-    (the merge criterion of the buffered stage-graph PR) and records the
-    ``saturation`` experiment's detected knees at N = 64 so the bench
-    file documents the physics alongside the wall-clock.
+    offered load, depth :data:`SATURATION_DEPTH`, through
+    :func:`repro.sim.buffered.measure_buffered` on both of its engines:
+    the compiled per-wire FIFO kernels (``engine="compiled"``) and the
+    per-packet :class:`~repro.sim.stagegraph.BufferedStageReference`
+    (``engine="reference"``), under identical ``(traffic, cycles,
+    warmup, seed)``.  The two are bit-identical, so every measured field
+    must match exactly.  Asserts the :data:`SATURATION_SPEEDUP_FLOOR` x
+    per-cycle speedup at N = 4096 and records the ``saturation``
+    experiment's detected knees at N = 64 so the bench file documents
+    the physics alongside the wall-clock.
 
     Returns ``(report, failures)``.
     """
-    import warnings as _warnings
+    from dataclasses import fields
 
     from repro.sim.buffered import measure_buffered
     from repro.sim.stagegraph import edn_graph
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.ext.buffered import DequeBufferedEDN
 
     failures: list[str] = []
     params = EDNParams(16, 4, 4, SATURATION_STAGES)
@@ -991,33 +991,32 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
     assert n_inputs == 4_096
     graph = edn_graph(params)
 
-    compiled_s, compiled_m = _best_of(
-        REPEATS,
-        lambda: measure_buffered(
+    def measure(engine: str):
+        return measure_buffered(
             graph,
             traffic="uniform:1",
             depth=SATURATION_DEPTH,
             cycles=SATURATION_CYCLES,
             warmup=SATURATION_WARMUP,
             seed=SEED,
-        ),
-    )
-    legacy_s, legacy_m = _best_of(
-        2,  # ~50 ms/cycle in Python; two repeats bound the noise
-        lambda: DequeBufferedEDN(params, depth=SATURATION_DEPTH).run(
-            rate=1.0,
-            cycles=SATURATION_CYCLES,
-            warmup=SATURATION_WARMUP,
-            seed=SEED,
-        ),
+            engine=engine,
+        )
+
+    compiled_s, compiled_m = _best_of(REPEATS, lambda: measure("compiled"))
+    reference_s, reference_m = _best_of(
+        2,  # ~60 ms/cycle in Python; two repeats bound the noise
+        lambda: measure("reference"),
     )
     total_cycles = SATURATION_CYCLES + SATURATION_WARMUP
-    speedup = legacy_s / compiled_s
-    agree = abs(compiled_m.throughput - legacy_m.throughput) < 0.05
-    if not agree:
+    speedup = reference_s / compiled_s
+    mismatched = [
+        field.name
+        for field in fields(compiled_m)
+        if getattr(compiled_m, field.name) != getattr(reference_m, field.name)
+    ]
+    if mismatched:
         failures.append(
-            f"compiled throughput {compiled_m.throughput:.4f} vs legacy "
-            f"{legacy_m.throughput:.4f}: outside the 0.05 agreement band"
+            f"compiled and reference measurements differ in {mismatched}"
         )
     if speedup < SATURATION_SPEEDUP_FLOOR:
         failures.append(
@@ -1026,8 +1025,9 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
         )
     print(
         f"N={n_inputs:>6} buffered depth {SATURATION_DEPTH}: compiled "
-        f"{compiled_s:.3f}s  legacy deque {legacy_s:.3f}s  speedup "
-        f"{speedup:.1f}x  thr {compiled_m.throughput:.4f}/{legacy_m.throughput:.4f}"
+        f"{compiled_s:.3f}s  reference {reference_s:.3f}s  speedup "
+        f"{speedup:.1f}x  thr {compiled_m.throughput:.4f}  "
+        f"{'identical' if not mismatched else 'MISMATCH'}"
     )
 
     # Saturation knees at N = 64: the physics the wall-clock buys.
@@ -1062,12 +1062,12 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
             f"{SATURATION_WARMUP} warmup, seed {SEED}"
         ),
         "engines": {
-            "compiled": "CompiledStageRouter.step via measure_buffered (per-wire FIFO state on the compiled plan)",
-            "legacy": "DequeBufferedEDN (per-packet Python deques, the pre-core engine)",
+            "compiled": "CompiledStageRouter.step via measure_buffered(engine='compiled') (per-wire FIFO state on the compiled plan)",
+            "reference": "BufferedStageReference.step via measure_buffered(engine='reference') (per-packet oracle)",
         },
         "floor": {
             "speedup_at_4096": SATURATION_SPEEDUP_FLOOR,
-            "throughput_agreement": 0.05,
+            "bit_identical": True,
         },
         "host": {
             "machine": platform.machine(),
@@ -1080,15 +1080,14 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
                 "depth": SATURATION_DEPTH,
                 "cycles": SATURATION_CYCLES,
                 "compiled_seconds": round(compiled_s, 4),
-                "legacy_seconds": round(legacy_s, 4),
+                "reference_seconds": round(reference_s, 4),
                 "compiled_seconds_per_cycle": round(compiled_s / total_cycles, 6),
-                "legacy_seconds_per_cycle": round(legacy_s / total_cycles, 6),
+                "reference_seconds_per_cycle": round(reference_s / total_cycles, 6),
                 "speedup": round(speedup, 2),
-                "throughput_compiled": round(compiled_m.throughput, 6),
-                "throughput_legacy": round(legacy_m.throughput, 6),
-                "mean_latency_compiled": round(compiled_m.mean_latency, 4),
-                "p99_latency_compiled": compiled_m.latency.p99,
-                "throughput_agrees": agree,
+                "throughput": round(compiled_m.throughput, 6),
+                "mean_latency": round(compiled_m.mean_latency, 4),
+                "p99_latency": compiled_m.latency.p99,
+                "bit_identical": not mismatched,
             }
         ],
         "knees_at_64": {
@@ -1531,7 +1530,8 @@ def main(argv: list[str] | None = None) -> int:
         "--saturation",
         action="store_true",
         help="time buffered stepping at N=4096: compiled kernels vs the "
-             "legacy deque engine (>=5x floor), recording saturation knees",
+             "per-packet reference (>=5x floor, bit-identical), recording "
+             "saturation knees",
     )
     parser.add_argument(
         "--native-kernel",

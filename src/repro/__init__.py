@@ -12,8 +12,8 @@ The package is organized as:
 * :mod:`repro.core` — the EDN itself: hyperbar switches, topology, digit
   routing, path enumeration, cost models, and the analytic acceptance
   models (Eqs. 2-5 of the paper);
-* :mod:`repro.sim` — simulation substrate: discrete-event kernel, seeded
-  RNG streams, statistics, the compiled stage-graph router and
+* :mod:`repro.sim` — simulation substrate: seeded RNG streams,
+  statistics, the compiled stage-graph router, the buffered path and
   Monte-Carlo harnesses;
 * :mod:`repro.workloads` — the pluggable traffic-model subsystem: the
   ``TrafficGenerator`` protocol, the built-in models (uniform,

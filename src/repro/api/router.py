@@ -208,21 +208,10 @@ class RearrangeableRouter(_BatchByLoop):
     algorithm (matching decomposition for Clos, the looping algorithm for
     Beneš), and verified — a routing failure raises instead of silently
     reporting blocked messages, since rearrangeability guarantees success.
-
-    ``run_global_routing=False`` skips that per-cycle algorithm + check
-    (outcomes are fully determined by the conflict loop above) — an
-    opt-in for large-scale measurement where the O(N log N)-per-cycle
-    Python control computation would dominate wall-clock.
     """
 
-    def __init__(
-        self,
-        network: Union[ClosNetwork, BenesNetwork],
-        *,
-        run_global_routing: bool = True,
-    ):
+    def __init__(self, network: Union[ClosNetwork, BenesNetwork]):
         self.network = network
-        self.run_global_routing = run_global_routing
         if isinstance(network, ClosNetwork):
             self._terminals = network.num_terminals
         else:
@@ -261,15 +250,14 @@ class RearrangeableRouter(_BatchByLoop):
                 taken[dest] = True
                 winners.append(int(source))
 
-        if self.run_global_routing:
-            # Extend the surviving partial permutation to a full one:
-            # unmatched sources take the free outputs in ascending order.
-            perm = np.full(n, -1, dtype=np.int64)
-            perm[winners] = dests[winners]
-            free_outputs = iter(np.flatnonzero(~taken).tolist())
-            for source in np.flatnonzero(perm < 0):
-                perm[source] = next(free_outputs)
-            self._route_full(perm.tolist())
+        # Extend the surviving partial permutation to a full one:
+        # unmatched sources take the free outputs in ascending order.
+        perm = np.full(n, -1, dtype=np.int64)
+        perm[winners] = dests[winners]
+        free_outputs = iter(np.flatnonzero(~taken).tolist())
+        for source in np.flatnonzero(perm < 0):
+            perm[source] = next(free_outputs)
+        self._route_full(perm.tolist())
 
         for source in winners:
             output[source] = dests[source]

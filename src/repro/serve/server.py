@@ -557,6 +557,11 @@ class SimulationServer:
                 except EDNError as exc:
                     self._finish_error(flight, f"cell failed: {exc}")
                     return
+                except Exception as exc:  # noqa: BLE001 - a worker raise answers the cell
+                    self._finish_error(
+                        flight, f"cell failed: {type(exc).__name__}: {exc}"
+                    )
+                    return
                 finally:
                     self._busy -= 1
                 key, payload, pid, plan_info = result
@@ -601,6 +606,11 @@ class SimulationServer:
             except EDNError as exc:
                 self._finish_error(flight, f"cell failed: {exc}")
                 return True  # answered (as a plain error), not quarantined
+            except Exception as exc:  # noqa: BLE001 - as in _compute_cell
+                self._finish_error(
+                    flight, f"cell failed: {type(exc).__name__}: {exc}"
+                )
+                return True
         finally:
             probe.shutdown(wait=False, cancel_futures=True)
         key, payload, pid, plan_info = result

@@ -1,4 +1,4 @@
-"""Simulation substrate: kernel, RNG streams, statistics, traffic, Monte-Carlo.
+"""Simulation substrate: RNG streams, statistics, routing engines, Monte-Carlo.
 
 This package supplies the *machinery*; for constructing and driving
 networks, prefer the :mod:`repro.api` facade — ``NetworkSpec`` names any
@@ -8,7 +8,6 @@ and ``RunConfig`` threads cycles/seed/jobs/batch through
 :func:`~repro.sim.montecarlo.measure_acceptance` and the experiment
 runners.
 
-* :mod:`repro.sim.engine` — discrete-event kernel and cycle driver;
 * :mod:`repro.sim.rng` — reproducible independent random streams;
 * :mod:`repro.sim.stats` — online statistics and confidence intervals
   (streaming ratio-of-sums estimator with a delta-method interval);
@@ -63,7 +62,6 @@ from repro.sim.batched import (
     VectorCycleResult,
 )
 from repro.sim.buffered import BufferedMeasurement, measure_buffered
-from repro.sim.engine import CycleDriver, EventHandle, Simulator
 from repro.sim.plan import (
     BufferedState,
     ChunkWorkspace,
@@ -85,11 +83,7 @@ from repro.sim.stagegraph import (
     omega_graph,
 )
 from repro.sim.native import NativeStageRouter, available_tiers
-from repro.sim.montecarlo import (
-    AcceptanceMeasurement,
-    ReferenceRouterAdapter,
-    measure_acceptance,
-)
+from repro.sim.montecarlo import AcceptanceMeasurement, measure_acceptance
 from repro.sim.rng import make_rng, spawn, spawn_keys, stream_for
 from repro.sim.stats import (
     Interval,
@@ -114,9 +108,6 @@ from repro.workloads.models import (
 )
 
 __all__ = [
-    "Simulator",
-    "EventHandle",
-    "CycleDriver",
     "make_rng",
     "spawn",
     "spawn_keys",
@@ -165,5 +156,4 @@ __all__ = [
     "VectorCycleResult",
     "measure_acceptance",
     "AcceptanceMeasurement",
-    "ReferenceRouterAdapter",
 ]

@@ -7,12 +7,13 @@ statistically honest comparisons against the analytic models (Eqs. 4-5).
 The harness is router-agnostic: anything exposing ``n_inputs``,
 ``n_outputs`` and ``route(dests, rng) -> result`` with ``num_offered`` /
 ``num_delivered`` works, which lets the same code drive the compiled routers,
-the reference EDN (via an adapter), and the baseline networks.  Routers
-that additionally expose ``route_batch(dests, rng)`` (the
-:class:`~repro.sim.batched.BatchedEDN` protocol) are driven in chunks of
-many cycles per call, which removes the per-cycle Python overhead that
-otherwise dominates at large ``N`` — see :mod:`repro.sim.batched` and the
-measured speedups in ``BENCH_batched_routing.json``.
+the reference EDN (through :class:`~repro.api.router.ReferenceEDNRouter`),
+and the baseline networks.  Routers that additionally expose
+``route_batch(dests, rng)`` (the :class:`~repro.sim.batched.BatchedEDN`
+protocol) are driven in chunks of many cycles per call, which removes
+the per-cycle Python overhead that otherwise dominates at large ``N`` —
+see :mod:`repro.sim.batched` and the measured speedups in
+``BENCH_batched_routing.json``.
 
 Reproducibility: a fixed ``(seed, batch)`` pair always reproduces a
 measurement exactly.  The per-cycle (``batch=1``) and chunked paths draw
@@ -41,9 +42,6 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
-from repro.core.config import EDNParams
-from repro.core.network import EDNetwork
-from repro.core.tags import RetirementOrder
 from repro.sim.rng import SeedLike, make_rng
 from repro.sim.stats import Interval, RatioStats
 from repro.workloads.models import TrafficGenerator
@@ -57,7 +55,6 @@ __all__ = [
     "BatchRouter",
     "AcceptanceMeasurement",
     "measure_acceptance",
-    "ReferenceRouterAdapter",
     "DEFAULT_BATCH",
 ]
 
@@ -77,8 +74,6 @@ def _contention_priority(router: "CycleRouter") -> Optional[str]:
         router,
         getattr(router, "engine", None),
         getattr(router, "network", None),
-        getattr(router, "_engine", None),
-        getattr(router, "_omega", None),
     ):
         priority = getattr(obj, "priority", None)
         if isinstance(priority, str):
@@ -365,37 +360,3 @@ def measure_acceptance(
         converged=stopped if adaptive else None,
     )
 
-
-class ReferenceRouterAdapter:
-    """Expose :class:`~repro.core.network.EDNetwork` through the router protocol.
-
-    Used by equivalence tests; for performance work prefer
-    :class:`~repro.sim.batched.BatchedEDN` directly.
-    """
-
-    def __init__(self, network: EDNetwork):
-        self.network = network
-
-    @classmethod
-    def build(
-        cls,
-        params: EDNParams,
-        *,
-        priority: str = "label",
-        retirement_order: Optional[RetirementOrder] = None,
-    ) -> "ReferenceRouterAdapter":
-        return cls(
-            EDNetwork(params, priority=priority, retirement_order=retirement_order)
-        )
-
-    @property
-    def n_inputs(self) -> int:
-        return self.network.params.num_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.network.params.num_outputs
-
-    def route(self, dests: np.ndarray, rng: Optional[np.random.Generator] = None):
-        demands = {int(s): int(d) for s, d in enumerate(dests) if d >= 0}
-        return self.network.route_destinations(demands, rng=rng)

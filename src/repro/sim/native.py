@@ -9,7 +9,7 @@ frontier L1/L2-resident.  Routing decisions are bit-identical to
 :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
 (pinned by the cross-backend equivalence suite).
 
-The same loop body exists in three execution **tiers**, best available
+The same loop body exists in two execution **tiers**, best available
 first:
 
 * ``numba`` — :func:`_counts_loop` compiled by ``numba.njit(cache=True)``.
@@ -22,9 +22,6 @@ first:
   and called through :mod:`ctypes` (the GIL is released for the duration
   of the call).  This keeps the native backend fast on numba-free hosts
   that have a compiler.
-* ``python`` — the very same :func:`_counts_loop`, interpreted.  Never
-  selected automatically (it is slow); tests use it to pin the loop
-  *logic* against the NumPy kernels on any host.
 
 Importing this module never hard-fails: with no accelerated tier the
 router degrades to the inherited NumPy kernels (the pure-NumPy shim), and
@@ -79,11 +76,10 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# The loop body (python + numba tiers)
+# The loop body (numba tier)
 # ----------------------------------------------------------------------
-# One function, two executions: interpreted as-is (the ``python`` tier)
-# or compiled by numba (the ``numba`` tier).  The C translation below
-# mirrors it statement for statement; all three must stay in lockstep —
+# Compiled by numba (the ``numba`` tier).  The C translation below
+# mirrors it statement for statement; the two must stay in lockstep —
 # the bit-identity tests compare every tier against the NumPy kernels.
 #
 # Layout (built by :func:`_lower`):
@@ -529,24 +525,9 @@ def available_tiers() -> tuple[str, ...]:
 
 
 def default_tier() -> Optional[str]:
-    """The tier the native backend runs on here, or ``None`` (NumPy shim).
-
-    ``REPRO_NATIVE_TIER`` overrides the choice (``numba``, ``cc``,
-    ``python``, or ``numpy`` to force the shim); an unavailable forced
-    tier falls through to automatic selection.
-    """
-    forced = os.environ.get("REPRO_NATIVE_TIER", "").strip().lower()
-    if forced == "numpy":
-        return None
-    if forced == "python":
-        return "python"
-    if forced == "numba" and numba_available():
-        return "numba"
-    if forced == "cc" and cc_available():
-        return "cc"
-    for tier in available_tiers():
-        return tier
-    return None
+    """The tier the native backend runs on here, or ``None`` (NumPy shim)."""
+    tiers = available_tiers()
+    return tiers[0] if tiers else None
 
 
 def unavailable_reason() -> Optional[str]:
@@ -650,17 +631,15 @@ class NativeKernel:
     __slots__ = ("tables", "tier", "wire", "_fn")
 
     def __init__(self, plan, tier: str):
-        if tier not in ("numba", "cc", "python"):
+        if tier not in ("numba", "cc"):
             raise ConfigurationError(f"unknown native tier {tier!r}")
         self.tables = _lower(plan)
         self.tier = tier
         self.wire = plan.wire_dtype
         if tier == "cc":
             self._fn = _spec_kernel(self.tables, self.wire)
-        elif tier == "numba":
-            self._fn = _numba_loop()
         else:
-            self._fn = _counts_loop
+            self._fn = _numba_loop()
 
     def counts(self, dests: np.ndarray, ws) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
@@ -674,8 +653,8 @@ class NativeKernel:
         batch, _n = dests.shape
         nstages = t.meta.shape[0]
         # One extra slot per frontier half: index ``maxw`` is the trash
-        # slot the branchless C loop parks losers on (the python/numba
-        # loop never touches it).
+        # slot the branchless C loop parks losers on (the numba loop
+        # never touches it).
         frontier = ws.array(
             "native_frontier", batch * 2 * (t.maxw + 1), self.wire
         ).reshape(batch, 2, t.maxw + 1)

@@ -11,6 +11,7 @@ DOCUMENTED_MODULES = [
     "repro.api.spec",
     "repro.api.registry",
     "repro.api.measure",
+    "repro.api.jobs",
     "repro.workloads.models",
     "repro.workloads.registry",
     "repro.core.labels",
@@ -20,9 +21,15 @@ DOCUMENTED_MODULES = [
     "repro.core.config",
     "repro.core.tags",
     "repro.core.network",
-    "repro.sim.engine",
+    "repro.core.faults",
+    "repro.core.topology",
     "repro.sim.stats",
     "repro.sim.batched",
+    "repro.sim.stagegraph",
+    "repro.sim.closedloop",
+    "repro.serve.cache",
+    "repro.serve.protocol",
+    "repro.serve.supervisor",
     "repro.baselines.delta",
     "repro.baselines.omega",
     "repro.baselines.benes",
@@ -33,7 +40,6 @@ DOCUMENTED_MODULES = [
     "repro.mimd.system",
     "repro.simd.simulator",
     "repro.simd.maspar",
-    "repro.ext.buffered",
 ]
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.router import ReferenceEDNRouter
 from repro.core.config import EDNParams
 from repro.core.network import EDNetwork
 from repro.core.tags import RetirementOrder
 from repro.sim.batched import BatchedEDN
-from repro.sim.montecarlo import ReferenceRouterAdapter, measure_acceptance
+from repro.sim.montecarlo import measure_acceptance
 from repro.workloads import UniformTraffic
 
 CONFIGS = [
@@ -134,10 +135,10 @@ class TestRandomPriority:
             traffic, cycles=200, seed=11,
         )
         reference = measure_acceptance(
-            ReferenceRouterAdapter(
+            ReferenceEDNRouter(
                 EDNetwork(params, priority="random", retirement_order=order)
             ),
-            traffic, cycles=200, seed=12,
+            traffic, cycles=200, seed=12, batch=1,
         )
         spread = compiled.acceptance.halfwidth + reference.acceptance.halfwidth
         assert abs(compiled.point - reference.point) <= spread

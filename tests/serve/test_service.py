@@ -266,6 +266,60 @@ class TestProtocolEdges:
         finally:
             handle.stop()
 
+    def test_unexpected_worker_exception_is_a_cell_error(self, monkeypatch):
+        # A worker raising something other than EDNError (seen: a corrupt
+        # cached kernel object, OSError "file too short") must answer the
+        # cell with an error naming the exception, not kill the task and
+        # leave the client waiting.
+        def raise_os_error(cell, *, progress=None):
+            raise OSError("kernel object file too short")
+
+        monkeypatch.setattr(server_mod, "measure_cell", raise_os_error)
+        handle = start_server_thread(workers=1, shard_timeout=60.0)
+        try:
+            start = time.monotonic()
+            with ServiceClient(handle.address, timeout=20.0) as client:
+                with pytest.raises(ServiceError, match="OSError"):
+                    client.submit([SweepCell(SPEC, RunConfig(cycles=40, seed=0))])
+            assert time.monotonic() - start < 20.0
+        finally:
+            handle.stop()
+
+    def test_unexpected_exception_on_the_probe_is_a_cell_error(
+        self, tmp_path, monkeypatch
+    ):
+        # The cell kills its worker max_poison_attempts times, then raises
+        # on the solo probe: the raise answers the cell (not quarantined)
+        # instead of killing the task and leaving the client waiting.
+        monkeypatch.setenv(_SCRATCH, str(tmp_path))
+
+        def kill_twice_then_raise(cell, *, progress=None):
+            base = pathlib.Path(os.environ[_SCRATCH])
+            for slot in range(2):
+                try:
+                    (base / f"kill.{slot}").touch(exist_ok=False)
+                except FileExistsError:
+                    continue
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("kernel object file too short")
+
+        monkeypatch.setattr(server_mod, "measure_cell", kill_twice_then_raise)
+        handle = start_server_thread(
+            workers=1, max_poison_attempts=2, shard_timeout=60.0
+        )
+        try:
+            start = time.monotonic()
+            with ServiceClient(handle.address, timeout=20.0) as client:
+                results = client.submit(
+                    [SweepCell(SPEC, RunConfig(cycles=40, seed=0))],
+                    tolerate_failures=True,
+                )
+            assert time.monotonic() - start < 20.0
+        finally:
+            handle.stop()
+        assert not results[0].quarantined and results[0].measurement is None
+        assert "OSError: kernel object file too short" in results[0].error
+
     def test_empty_job_is_rejected(self, server):
         with ServiceClient(server.address) as client:
             client._send({"type": "submit", "job_id": "empty", "cells": []})

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import NetworkSpec, available_backends, build_router
+from repro.api.router import ReferenceEDNRouter
 from repro.baselines.crossbar_network import CrossbarNetwork
 from repro.core.analysis import acceptance_probability, crossbar_acceptance
 from repro.core.config import EDNParams
 from repro.core.network import EDNetwork
 from repro.sim.batched import BatchedEDN
-from repro.sim.montecarlo import ReferenceRouterAdapter, measure_acceptance
+from repro.sim.montecarlo import measure_acceptance
 from repro.sim.stagegraph import StageGraphReference, edn_graph
 from repro.workloads import PermutationTraffic, UniformTraffic
 
@@ -69,14 +71,14 @@ class TestReferenceAdapter:
         p = EDNParams(8, 4, 2, 2)
         traffic = UniformTraffic(p.num_inputs, p.num_outputs, 1.0)
         ref = measure_acceptance(
-            ReferenceRouterAdapter(EDNetwork(p)), traffic, cycles=40, seed=3
+            ReferenceEDNRouter(EDNetwork(p)), traffic, cycles=40, seed=3, batch=1
         )
         vec = measure_acceptance(BatchedEDN(p), traffic, cycles=40, seed=3, batch=1)
         assert ref.point == pytest.approx(vec.point, abs=1e-12)
 
     def test_adapter_exposes_sizes(self):
         p = EDNParams(8, 4, 2, 2)
-        adapter = ReferenceRouterAdapter.build(p)
+        adapter = ReferenceEDNRouter(EDNetwork(p))
         assert adapter.n_inputs == p.num_inputs
         assert adapter.n_outputs == p.num_outputs
 
@@ -141,7 +143,7 @@ class TestBatchedMeasurement:
         p = EDNParams(8, 4, 2, 2)
         traffic = UniformTraffic(p.num_inputs, p.num_outputs, 1.0)
         ref = measure_acceptance(
-            ReferenceRouterAdapter(EDNetwork(p)), traffic, cycles=24, seed=3, batch=8
+            ReferenceEDNRouter(EDNetwork(p)), traffic, cycles=24, seed=3, batch=8
         )
         batched = measure_acceptance(BatchedEDN(p), traffic, cycles=24, seed=3, batch=8)
         assert ref.point == pytest.approx(batched.point, abs=1e-12)
@@ -176,6 +178,17 @@ class TestBatchedMeasurement:
             measure_acceptance(
                 BatchedEDN(p), UniformTraffic(64, 64, 1.0), cycles=5, batch=0
             )
+
+
+RANDOM_SPECS = [
+    NetworkSpec.edn(16, 4, 4, 2, priority="random"),
+    NetworkSpec.delta(4, 4, 2, priority="random"),
+    NetworkSpec.omega(16, priority="random"),
+    NetworkSpec.crossbar(16, priority="random"),
+]
+RANDOM_BACKENDS = [
+    (spec, backend) for spec in RANDOM_SPECS for backend in available_backends(spec)
+]
 
 
 class TestChunkSizeInvariantRandomPriority:
@@ -226,6 +239,24 @@ class TestChunkSizeInvariantRandomPriority:
         )
         assert batched.point == looped.point
         assert batched.blocked_by_stage == looped.blocked_by_stage
+
+    @pytest.mark.parametrize(
+        "spec,backend",
+        RANDOM_BACKENDS,
+        ids=[f"{spec.kind}-{backend}" for spec, backend in RANDOM_BACKENDS],
+    )
+    def test_every_backend_chunk_invariant(self, spec, backend):
+        # Every registered router must expose its random discipline to the
+        # harness, or its chunks would share one tie-break stream.
+        traffic = UniformTraffic(spec.n_inputs, spec.n_outputs, 1.0)
+        a, b = (
+            measure_acceptance(
+                build_router(spec, backend), traffic, cycles=24, seed=5, batch=batch
+            )
+            for batch in (4, 24)
+        )
+        assert a.point == b.point
+        assert a.blocked_by_stage == b.blocked_by_stage
 
     def test_crossbar_random_priority_chunk_invariant(self):
         n = 64

@@ -4,10 +4,11 @@ The native backend's contract is *exact* agreement with
 :class:`~repro.sim.batched.CompiledStageRouter` — same offered/delivered
 counts and the same per-stage blocking — on every plan the compiled
 kernels route: all four stage-graph families, both priorities, faulted
-and buffered plans.  The ``python`` tier (the interpreted loop body)
-always runs, pinning the loop logic on any host; the accelerated tiers
-(``numba``, the runtime-compiled C kernel) join the same parametrization
-whenever they are available and skip gracefully otherwise.
+and buffered plans.  The numba tier's source loop, run as plain Python,
+always joins the parametrization, pinning the loop logic on any host;
+every tier available on the host (``numba``, the runtime-compiled C
+kernel) joins it too, and a host with neither still pins the pure-NumPy
+shim.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from repro.core.faults import WireFault
 from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
 from repro.sim.batched import CompiledStageRouter
-from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
+from repro.sim.native import (
+    NativeKernel,
+    NativeStageRouter,
+    available_tiers,
+    kernel_for,
+)
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
     delta_graph,
@@ -46,8 +52,12 @@ FAULTS = {
     "dilated": (WireFault(1, 0, 1), WireFault(2, 0, 0)),
 }
 
-#: The interpreted tier always runs; accelerated tiers when present.
-TIERS = ("python",) + available_tiers()
+TIERS = available_tiers()
+
+#: ``python`` runs :func:`~repro.sim.native._counts_loop` (the numba
+#: tier's source) uncompiled, so it runs on any host; accelerated tiers
+#: join when present.
+RUNNERS = ("python",) + TIERS
 
 
 def demands(graph, seed: int, batch: int) -> np.ndarray:
@@ -63,33 +73,44 @@ def assert_counts_equal(got, want):
     assert got.blocked_by_stage == want.blocked_by_stage
 
 
+def native_counts(graph, runner, dests, monkeypatch, **router_kw):
+    """Counts from one of :data:`RUNNERS` on ``graph``'s plan."""
+    if runner != "python":
+        return NativeStageRouter(
+            graph, tier=runner, **router_kw
+        ).route_batch_counts(dests)
+    # The numba tier's code path with the loop left uncompiled, built
+    # outside kernel_for so it never enters the plan's kernel cache.
+    monkeypatch.setattr(native, "_numba_loop", lambda: native._counts_loop)
+    plan = CompiledStageRouter(graph, **router_kw)._plan
+    return NativeKernel(plan, "numba").counts(dests, plan.workspace())
+
+
 class TestCountsBitIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("tier", RUNNERS)
     @pytest.mark.parametrize("family", sorted(GRAPHS))
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("batch", [1, 6])
-    def test_matches_batched(self, family, tier, seed, batch):
+    def test_matches_batched(self, family, tier, seed, batch, monkeypatch):
         graph = GRAPHS[family]()
         dests = demands(graph, seed, batch)
         want = CompiledStageRouter(graph).route_batch_counts(dests)
-        got = NativeStageRouter(graph, tier=tier).route_batch_counts(dests)
+        got = native_counts(graph, tier, dests, monkeypatch)
         assert_counts_equal(got, want)
 
-    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("tier", RUNNERS)
     @pytest.mark.parametrize("family", sorted(GRAPHS))
-    def test_matches_batched_with_faults(self, family, tier):
+    def test_matches_batched_with_faults(self, family, tier, monkeypatch):
         graph = GRAPHS[family]()
         faults = FAULTS[family]
         dests = demands(graph, 3, 5)
         want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
-        got = NativeStageRouter(
-            graph, faults=faults, tier=tier
-        ).route_batch_counts(dests)
+        got = native_counts(graph, tier, dests, monkeypatch, faults=faults)
         assert_counts_equal(got, want)
 
-    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("tier", RUNNERS)
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_matches_batched_on_buffered_plans(self, tier, depth):
+    def test_matches_batched_on_buffered_plans(self, tier, depth, monkeypatch):
         # Buffered plans lower buffers into extra stages of the same plan
         # format; the native kernel must route them identically too.
         graph = delta_graph(4, 4, 3)
@@ -97,9 +118,7 @@ class TestCountsBitIdentity:
         want = CompiledStageRouter(graph, buffer_depth=depth).route_batch_counts(
             dests
         )
-        got = NativeStageRouter(
-            graph, buffer_depth=depth, tier=tier
-        ).route_batch_counts(dests)
+        got = native_counts(graph, tier, dests, monkeypatch, buffer_depth=depth)
         assert_counts_equal(got, want)
 
     def test_random_priority_defers_to_inherited_engine(self):
@@ -116,15 +135,43 @@ class TestCountsBitIdentity:
         assert_counts_equal(got, want)
 
     def test_shim_matches_batched_without_any_tier(self, monkeypatch):
-        # Forcing the NumPy shim (tier None) must route through the
-        # inherited kernels — the import-never-fails degradation path.
-        monkeypatch.setenv("REPRO_NATIVE_TIER", "numpy")
+        # A host with no tier gets the NumPy shim (tier None), which must
+        # route through the inherited kernels — the import-never-fails
+        # degradation path.
+        monkeypatch.setattr(native, "numba_available", lambda: False)
+        monkeypatch.setattr(native, "cc_available", lambda: False)
         graph = delta_graph(4, 4, 3)
         router = NativeStageRouter(graph)
         assert router.tier is None
         dests = demands(graph, 2, 3)
         want = CompiledStageRouter(graph).route_batch_counts(dests)
         assert_counts_equal(router.route_batch_counts(dests), want)
+
+
+class TestTierDiscovery:
+    @pytest.mark.parametrize(
+        "numba_ok,cc_ok,expected",
+        [
+            (True, True, "numba"),
+            (True, False, "numba"),
+            (False, True, "cc"),
+            (False, False, None),
+        ],
+    )
+    def test_default_tier_is_the_first_available(
+        self, monkeypatch, numba_ok, cc_ok, expected
+    ):
+        monkeypatch.setattr(native, "numba_available", lambda: numba_ok)
+        monkeypatch.setattr(native, "cc_available", lambda: cc_ok)
+        assert native.default_tier() == expected
+        assert NativeStageRouter(delta_graph(2, 2, 2)).tier == expected
+        assert (native.unavailable_reason() is None) == (expected is not None)
+
+    @pytest.mark.parametrize("tier", ["python", "numpy", "gpu"])
+    def test_kernel_rejects_unknown_tier(self, tier):
+        plan = CompiledStageRouter(delta_graph(2, 2, 2))._plan
+        with pytest.raises(ConfigurationError, match="unknown native tier"):
+            NativeKernel(plan, tier)
 
 
 class TestNumbaTier:
@@ -164,16 +211,18 @@ class TestKernelCache:
             errors = [e for e in outcomes if e]
             assert errors == []
 
+    @pytest.mark.skipif(not TIERS, reason="no accelerated native tier")
     def test_warm_equals_cold(self):
         # Two routers over equivalent graphs share one cached plan, and
         # the lowered kernel rides it: the second construction reuses the
         # kernel object and produces bit-identical counts.
+        tier = TIERS[0]
         graph = delta_graph(4, 4, 3)
-        cold = NativeStageRouter(graph, tier="python")
+        cold = NativeStageRouter(graph, tier=tier)
         dests = demands(graph, 9, 4)
         first = cold.route_batch_counts(dests)
-        warm = NativeStageRouter(delta_graph(4, 4, 3), tier="python")
-        assert kernel_for(warm._plan, "python") is kernel_for(cold._plan, "python")
+        warm = NativeStageRouter(delta_graph(4, 4, 3), tier=tier)
+        assert kernel_for(warm._plan, tier) is kernel_for(cold._plan, tier)
         assert_counts_equal(warm.route_batch_counts(dests), first)
 
 
@@ -305,9 +354,9 @@ class TestWideRadixAllocationFree:
         ]
         assert big == []
 
-    def test_onehot_fallback_matches_interpreted_loop(self):
+    def test_onehot_fallback_matches_interpreted_loop(self, monkeypatch):
         graph = delta_graph(16, 16, 2)
         dests = demands(graph, 29, 4)
-        want = NativeStageRouter(graph, tier="python").route_batch_counts(dests)
+        want = native_counts(graph, "python", dests, monkeypatch)
         got = CompiledStageRouter(graph).route_batch_counts(dests)
         assert_counts_equal(got, want)
