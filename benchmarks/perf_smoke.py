@@ -42,10 +42,12 @@ count (>=3x 1->4 workers asserted on >=4-core hosts), four concurrent
 clients pushing >=1000 overlapping cells through one instance (server
 dedupe rate floor 0.5), per-worker plan-cache hit rates, streaming
 partials, and service-vs-inline bit-identity — into ``BENCH_serve.json``.
-``--saturation`` times buffered stepping at N=4096 — the compiled
-per-wire FIFO kernels against the per-packet ``BufferedStageReference``
-oracle (>=5x floor, bit-identical measurements asserted) — and records
-the ``saturation`` experiment's detected knees at N=64 into
+``--saturation`` times buffered stepping at N=4096 — the native step
+kernel, the NumPy ``CompiledStageRouter.step`` and the per-packet
+``BufferedStageReference`` oracle (NumPy >=5x the oracle; native >=3x
+NumPy whenever a tier is available, else skipped with the reason
+recorded; all three measurements bit-identical) — and records the
+``saturation`` experiment's detected knees at N=64 into
 ``BENCH_saturation.json``.
 ``--fault-buffered`` times faulty vs fault-free buffered stepping at
 N=4096 through the same compiled FIFO kernels (fault-overhead ceiling
@@ -134,9 +136,13 @@ SATURATION_DEPTH = 2
 #: pays ~60 ms/cycle at N = 4096 — it walks every packet in Python).
 SATURATION_CYCLES = 40
 SATURATION_WARMUP = 10
-#: Compiled-vs-reference speedup floor asserted at N = 4096 (the merge
+#: NumPy-step-vs-reference speedup floor asserted at N = 4096 (the merge
 #: criterion of the buffered stage-graph PR).
 SATURATION_SPEEDUP_FLOOR = 5.0
+#: Native-step-vs-NumPy-step speedup floor at N = 4096, enforced whenever
+#: an accelerated tier is available (the step kernel is single-threaded,
+#: so on any core count).
+SATURATION_NATIVE_FLOOR = 3.0
 #: Knee curves are swept at N = 64 (EDN(16,4,4,2) and kin) where the
 #: full rate ladder stays cheap.
 SATURATION_KNEE_CYCLES = 200
@@ -603,8 +609,9 @@ def run_fault_buffered(output: Path = FAULT_BUFFERED_OUTPUT) -> tuple[dict, list
     """Faulty vs fault-free buffered stepping on the compiled kernels.
 
     For EDN(16,4,4,l) at :data:`FAULT_BUFFERED_SIZES` terminals, times
-    ``measure_buffered`` at depth :data:`FAULT_BUFFERED_DEPTH` under full
-    offered load twice — once pristine, once with a seeded
+    ``measure_buffered`` (the native step kernel when the host has a
+    tier, recorded in the report; else the NumPy step) at depth
+    :data:`FAULT_BUFFERED_DEPTH` under full offered load twice — once pristine, once with a seeded
     ~:data:`FAULT_RATE` wire-fault pattern lowered into the same plan —
     under identical ``(seed, cycles)``.  Asserts, per cell: the
     whole-run conservation identity ``injected == delivered + in_flight
@@ -618,9 +625,14 @@ def run_fault_buffered(output: Path = FAULT_BUFFERED_OUTPUT) -> tuple[dict, list
 
     Returns ``(report, failures)``.
     """
+    import os
+
+    import numpy as np
+
     from repro.core.faults import random_graph_faults
     from repro.sim.batched import CompiledStageRouter
     from repro.sim.buffered import measure_buffered
+    from repro.sim.native import default_tier
     from repro.sim.rng import make_rng
     from repro.sim.stagegraph import edn_graph
 
@@ -729,6 +741,10 @@ def run_fault_buffered(output: Path = FAULT_BUFFERED_OUTPUT) -> tuple[dict, list
         "host": {
             "machine": platform.machine(),
             "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "native_tier": default_tier(),
+            "cc": _cc_version(),
         },
         "results": results,
     }
@@ -963,25 +979,47 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
     return report, failures
 
 
+def _cc_version() -> str | None:
+    """First line of the host C compiler's ``--version``, if there is one."""
+    import subprocess
+
+    from repro.sim.native import _compiler
+
+    compiler = _compiler()
+    if compiler is None:
+        return None
+    proc = subprocess.run([compiler, "--version"], capture_output=True, text=True)
+    return (proc.stdout.splitlines() or [compiler])[0]
+
+
 def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
-    """Buffered stepping: compiled kernels vs the per-packet oracle; write JSON.
+    """Buffered stepping: native step vs NumPy step vs per-packet oracle; write JSON.
 
     Times one buffered run of ``EDN(16,4,4,5)`` (N = 4096) at full
     offered load, depth :data:`SATURATION_DEPTH`, through
-    :func:`repro.sim.buffered.measure_buffered` on both of its engines:
-    the compiled per-wire FIFO kernels (``engine="compiled"``) and the
-    per-packet :class:`~repro.sim.stagegraph.BufferedStageReference`
-    (``engine="reference"``), under identical ``(traffic, cycles,
-    warmup, seed)``.  The two are bit-identical, so every measured field
-    must match exactly.  Asserts the :data:`SATURATION_SPEEDUP_FLOOR` x
-    per-cycle speedup at N = 4096 and records the ``saturation``
+    :func:`repro.sim.buffered.measure_buffered` three ways under
+    identical ``(traffic, cycles, warmup, seed)``: ``engine="compiled"``
+    on the host's native tier (the compiled step kernel), the same engine
+    with no tier (the NumPy ``CompiledStageRouter.step``), and
+    ``engine="reference"`` (the per-packet
+    :class:`~repro.sim.stagegraph.BufferedStageReference`).  All three
+    are bit-identical, so every measured field must match exactly.
+    Asserts the :data:`SATURATION_SPEEDUP_FLOOR` x NumPy-vs-reference
+    speedup and, whenever a native tier is available, the
+    :data:`SATURATION_NATIVE_FLOOR` x native-vs-NumPy speedup (skipped
+    with the reason recorded otherwise); records the ``saturation``
     experiment's detected knees at N = 64 so the bench file documents
     the physics alongside the wall-clock.
 
     Returns ``(report, failures)``.
     """
+    import os
     from dataclasses import fields
+    from unittest import mock
 
+    import numpy as np
+
+    from repro.sim import native
     from repro.sim.buffered import measure_buffered
     from repro.sim.stagegraph import edn_graph
 
@@ -990,6 +1028,7 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
     n_inputs = params.num_inputs
     assert n_inputs == 4_096
     graph = edn_graph(params)
+    tier = native.default_tier()
 
     def measure(engine: str):
         return measure_buffered(
@@ -1002,31 +1041,57 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
             engine=engine,
         )
 
-    compiled_s, compiled_m = _best_of(REPEATS, lambda: measure("compiled"))
+    def measure_numpy_step():
+        # engine="compiled" on a host without a tier: the NumPy step.
+        with mock.patch.object(native, "default_tier", lambda: None):
+            return measure("compiled")
+
+    if tier is not None:
+        measure("compiled")  # lower and load the step kernel off the clock
+        native_s, native_m = _best_of(REPEATS, lambda: measure("compiled"))
+    else:
+        native_s = native_m = None
+    numpy_s, numpy_m = _best_of(REPEATS, measure_numpy_step)
     reference_s, reference_m = _best_of(
         2,  # ~60 ms/cycle in Python; two repeats bound the noise
         lambda: measure("reference"),
     )
     total_cycles = SATURATION_CYCLES + SATURATION_WARMUP
-    speedup = reference_s / compiled_s
+    speedup = reference_s / numpy_s
+    measured = {"numpy_step": numpy_m, "native": native_m}
     mismatched = [
-        field.name
-        for field in fields(compiled_m)
-        if getattr(compiled_m, field.name) != getattr(reference_m, field.name)
+        f"{name}.{field.name}"
+        for name, m in measured.items()
+        if m is not None
+        for field in fields(m)
+        if getattr(m, field.name) != getattr(reference_m, field.name)
     ]
     if mismatched:
-        failures.append(
-            f"compiled and reference measurements differ in {mismatched}"
-        )
+        failures.append(f"buffered measurements differ from the reference in {mismatched}")
     if speedup < SATURATION_SPEEDUP_FLOOR:
         failures.append(
-            f"buffered speedup {speedup:.1f}x below the "
+            f"buffered NumPy-step speedup {speedup:.1f}x below the "
             f"{SATURATION_SPEEDUP_FLOOR:.0f}x floor"
         )
+    if tier is not None:
+        native_speedup = numpy_s / native_s
+        native_floor = {"enforced": True, "tier": tier}
+        if native_speedup < SATURATION_NATIVE_FLOOR:
+            failures.append(
+                f"native buffered step {native_speedup:.1f}x the NumPy step, below "
+                f"the {SATURATION_NATIVE_FLOOR:.0f}x floor"
+            )
+    else:
+        native_speedup = None
+        native_floor = {"enforced": False, "skipped": native.unavailable_reason()}
+        print(f"native floor skipped: {native.unavailable_reason()}")
     print(
-        f"N={n_inputs:>6} buffered depth {SATURATION_DEPTH}: compiled "
-        f"{compiled_s:.3f}s  reference {reference_s:.3f}s  speedup "
-        f"{speedup:.1f}x  thr {compiled_m.throughput:.4f}  "
+        f"N={n_inputs:>6} buffered depth {SATURATION_DEPTH}: "
+        + (f"native[{tier}] {native_s:.3f}s  " if tier else "")
+        + f"numpy step {numpy_s:.3f}s  reference {reference_s:.3f}s  "
+        f"numpy/reference {speedup:.1f}x  "
+        + (f"native/numpy {native_speedup:.1f}x  " if tier else "")
+        + f"thr {numpy_m.throughput:.4f}  "
         f"{'identical' if not mismatched else 'MISMATCH'}"
     )
 
@@ -1062,16 +1127,24 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
             f"{SATURATION_WARMUP} warmup, seed {SEED}"
         ),
         "engines": {
-            "compiled": "CompiledStageRouter.step via measure_buffered(engine='compiled') (per-wire FIFO state on the compiled plan)",
+            "native": "CompiledStageRouter.step on the native step kernel via measure_buffered(engine='compiled') on a host with a tier",
+            "numpy_step": "CompiledStageRouter.step's NumPy body via measure_buffered(engine='compiled') on a host without a tier",
             "reference": "BufferedStageReference.step via measure_buffered(engine='reference') (per-packet oracle)",
         },
         "floor": {
-            "speedup_at_4096": SATURATION_SPEEDUP_FLOOR,
+            "numpy_step_vs_reference_at_4096": SATURATION_SPEEDUP_FLOOR,
+            "native_vs_numpy_step_at_4096": SATURATION_NATIVE_FLOOR,
+            "native_floor": native_floor,
             "bit_identical": True,
         },
         "host": {
             "machine": platform.machine(),
             "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "native_tier": tier,
+            "cc": _cc_version(),
+            "kernel_threads": 1,
         },
         "results": [
             {
@@ -1079,14 +1152,21 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
                 "n_inputs": n_inputs,
                 "depth": SATURATION_DEPTH,
                 "cycles": SATURATION_CYCLES,
-                "compiled_seconds": round(compiled_s, 4),
+                "native_seconds": None if native_s is None else round(native_s, 4),
+                "numpy_step_seconds": round(numpy_s, 4),
                 "reference_seconds": round(reference_s, 4),
-                "compiled_seconds_per_cycle": round(compiled_s / total_cycles, 6),
+                "native_seconds_per_cycle": (
+                    None if native_s is None else round(native_s / total_cycles, 6)
+                ),
+                "numpy_step_seconds_per_cycle": round(numpy_s / total_cycles, 6),
                 "reference_seconds_per_cycle": round(reference_s / total_cycles, 6),
-                "speedup": round(speedup, 2),
-                "throughput": round(compiled_m.throughput, 6),
-                "mean_latency": round(compiled_m.mean_latency, 4),
-                "p99_latency": compiled_m.latency.p99,
+                "numpy_step_vs_reference": round(speedup, 2),
+                "native_vs_numpy_step": (
+                    None if native_speedup is None else round(native_speedup, 2)
+                ),
+                "throughput": round(numpy_m.throughput, 6),
+                "mean_latency": round(numpy_m.mean_latency, 4),
+                "p99_latency": numpy_m.latency.p99,
                 "bit_identical": not mismatched,
             }
         ],

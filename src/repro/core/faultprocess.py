@@ -205,8 +205,9 @@ def degradation_trajectory(
     cycle, so the whole probe is one kernel call).
 
     With ``buffer_depth`` set the run becomes *latency under
-    degradation*: one persistent buffered router carries its per-wire
-    FIFO state across windows, each boundary swaps the live network onto
+    degradation*: one persistent buffered router (the native step kernel
+    where a tier is available) carries its per-wire FIFO state across
+    windows, each boundary swaps the live network onto
     the new fault set via
     :meth:`~repro.sim.batched.CompiledStageRouter.apply_faults` (packets
     stranded on dying wires are dropped with accounting), and every
@@ -215,6 +216,7 @@ def degradation_trajectory(
     packets in flight.
     """
     from repro.sim.batched import CompiledStageRouter
+    from repro.sim.native import NativeStageRouter
     from repro.sim.rng import make_rng
     from repro.sim.stats import LatencyStats
     from repro.workloads.models import TrafficGenerator
@@ -231,7 +233,7 @@ def degradation_trajectory(
     elapsed = 0
     buffered = None
     if buffer_depth is not None:
-        buffered = CompiledStageRouter(
+        buffered = NativeStageRouter(
             graph, priority=priority, buffer_depth=buffer_depth
         )
     for _ in range(windows):

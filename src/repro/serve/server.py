@@ -353,6 +353,10 @@ class SimulationServer:
                 except (asyncio.LimitOverrunError, ValueError):
                     outbox.put_nowait({"type": "error", "message": "message too large"})
                     break
+                except ConnectionError:
+                    # The client vanished mid-stream (a failed write
+                    # surfaces here too): close as if it had hung up.
+                    break
                 if not line:
                     break
                 try:
@@ -372,25 +376,26 @@ class SimulationServer:
                     outbox.put_nowait(
                         {"type": "error", "message": f"unknown message type {kind!r}"}
                     )
+            # Graceful close (client hung up or sent shutdown): flush every
+            # queued event through the sender, then close the transport.
+            outbox.put_nowait(None)  # sentinel: flush and stop the sender
+            with contextlib.suppress(Exception):
+                await sender
+            with contextlib.suppress(Exception):
+                writer.close()
+                await writer.wait_closed()
         except asyncio.CancelledError:
-            # Event-loop teardown cancelled the handler mid-await.  Every
-            # further await would just re-raise, so stop the sender and
-            # close the transport synchronously — and return instead of
-            # re-raising: CPython 3.11's streams done-callback calls
-            # task.exception() unconditionally, which turns a cancelled
-            # handler task into "Exception in callback" stderr noise.
+            # Event-loop teardown cancelled the handler mid-await (reading,
+            # or flushing and closing; CancelledError is not an
+            # Exception).  Every further await would just re-raise, so
+            # stop the sender and close the transport synchronously — and
+            # return instead of re-raising: CPython 3.11's streams
+            # done-callback calls task.exception() unconditionally, which
+            # turns a cancelled handler task into "Exception in callback"
+            # stderr noise.
             sender.cancel()
             with contextlib.suppress(Exception):
                 writer.close()
-            return
-        # Graceful close (client hung up or sent shutdown): flush every
-        # queued event through the sender, then close the transport.
-        outbox.put_nowait(None)  # sentinel: flush and stop the sender
-        with contextlib.suppress(Exception):
-            await sender
-        with contextlib.suppress(Exception):
-            writer.close()
-            await writer.wait_closed()
 
     async def _send_loop(self, outbox: asyncio.Queue, writer) -> None:
         """One task per connection owns the writer: lines never interleave."""

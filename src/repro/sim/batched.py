@@ -405,7 +405,9 @@ class CompiledStageRouter:
     # offered packets enter their source's entry FIFO if it has room.
     # The per-packet cross-check path is
     # :class:`repro.sim.stagegraph.BufferedStageReference`; the two are
-    # bit-identical per cycle (see tests/sim/test_buffered_core.py).
+    # bit-identical per cycle (see tests/sim/test_buffered_core.py).  A
+    # native router runs the same cycle as one compiled loop
+    # (tests/sim/test_native_buffered.py pins it against both).
 
     def reset_buffers(self) -> None:
         """Drop all queued packets and restart the cycle counter."""
@@ -470,6 +472,15 @@ class CompiledStageRouter:
         self._dropped += dropped
         return dropped
 
+    def _step_kernel(self):
+        """The compiled step :meth:`step` runs, or ``None`` for the NumPy body.
+
+        The NumPy router has none; a native router returns its tier's
+        kernel for the current plan bound to the current state, so a
+        fault swap or a buffer reset re-keys it.
+        """
+        return None
+
     def _require_buffered(self) -> None:
         if self._buffers is None:
             raise ConfigurationError(
@@ -493,22 +504,27 @@ class CompiledStageRouter:
         plan, g = self._plan, self.graph
         state = self._buffers
         depth = state.depth
-        dests = np.asarray(dests, dtype=np.int64)
+        dests = np.ascontiguousarray(dests, dtype=np.int64)
         if dests.shape != (g.n_inputs,):
             raise LabelError(
                 f"expected demand vector of shape ({g.n_inputs},), got {dests.shape}"
             )
-        live0 = dests != IDLE
-        if live0.any():
-            lo, hi = int(dests[live0].min()), int(dests[live0].max())
-            if lo < 0 or hi >= g.n_outputs:
-                raise LabelError("demand vector contains out-of-range destinations")
+        # Live entries must lie in [0, n_outputs); anything below IDLE is
+        # out of range too, so two plain reductions cover every entry.
+        if dests.min() < IDLE or dests.max() >= g.n_outputs:
+            raise LabelError("demand vector contains out-of-range destinations")
         if self.priority == "random" and rng is None:
             raise ConfigurationError(
                 "random priority requires an explicit numpy Generator"
             )
 
         t = self._cycle
+        stepper = self._step_kernel()
+        if stepper is not None:
+            self._cycle = t + 1
+            return stepper.step(dests, t)
+
+        live0 = dests != IDLE
         out_arr = lat_arr = None
         last = g.num_stages - 1
         for i in range(last, -1, -1):

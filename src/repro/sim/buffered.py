@@ -6,8 +6,10 @@ back-pressure, trading loss for queueing delay.  This module is the
 measurement driver for that discipline on *any*
 :class:`~repro.sim.stagegraph.StageGraph` — EDN, delta, omega, dilated —
 through the full core stack: workload-registry traffic, the plan-cached
-compiled kernels (:class:`~repro.sim.batched.CompiledStageRouter` with a
-``buffer_depth``), and streaming latency histograms
+compiled kernels (:class:`~repro.sim.native.NativeStageRouter` with a
+``buffer_depth``: the native step kernel on hosts with a tier, the NumPy
+step of :class:`~repro.sim.batched.CompiledStageRouter` otherwise), and
+streaming latency histograms
 (:class:`~repro.sim.stats.LatencyStats`).
 
 Measured quantities per run:
@@ -99,13 +101,14 @@ def measure_buffered(
     refused by a full entry FIFO are dropped, not retried, so the
     *accepted* injection rate saturates below the offered rate once the
     network backs up.  ``engine`` selects the compiled kernels
-    (``"compiled"``) or the per-packet reference interpreter
+    (``"compiled"``: the native step kernel when a tier is available,
+    else the NumPy step) or the per-packet reference interpreter
     (``"reference"``) — identical results, wildly different speed.
     ``faults`` routes the whole run under a static dead-wire set (both
     engines honor it bit-identically); the returned measurement then
     conserves ``injected == delivered + in_flight + dropped``.
     """
-    from repro.sim.batched import CompiledStageRouter
+    from repro.sim.native import NativeStageRouter
     from repro.sim.rng import make_rng
     from repro.sim.stagegraph import BufferedStageReference
     from repro.workloads.registry import make_traffic
@@ -120,7 +123,7 @@ def measure_buffered(
     faults = tuple(sorted(set(faults)))
     gen = make_traffic(traffic, graph.n_inputs, graph.n_outputs)
     if engine == "compiled":
-        router = CompiledStageRouter(
+        router = NativeStageRouter(
             graph, priority=priority, buffer_depth=depth, faults=faults
         )
         router.reset_buffers()

@@ -1,39 +1,52 @@
 """Native kernel backend: :class:`~repro.sim.plan.StagePlan` lowered to
 JIT-compiled per-stage loops.
 
-The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
-at Monte-Carlo scale that is memory traffic, not arithmetic.  A compiled
-loop fuses dense rank + acceptance + fault refinement + link permutation
-into **one pass over the frontier per stage** and keeps each cycle's
-frontier L1/L2-resident.  Routing decisions are bit-identical to
-:meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
-(pinned by the cross-backend equivalence suite).
+Two hot paths are lowered:
 
-The same loop body exists in two execution **tiers**, best available
-first:
+* **counts** — the Monte-Carlo path.  The batched NumPy kernels stream
+  ~10 chunk-sized array passes per stage; at Monte-Carlo scale that is
+  memory traffic, not arithmetic.  A compiled loop fuses dense rank +
+  acceptance + fault refinement + link permutation into **one pass over
+  the frontier per stage** and keeps each cycle's frontier
+  L1/L2-resident.  Routing decisions are bit-identical to
+  :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`.
+* **buffered step** — one cycle of per-wire FIFO packet switching, run
+  in place on the router's :class:`~repro.sim.plan.BufferedState`
+  instead of ~30 NumPy calls per stage.  Outcomes and queue state are
+  bit-identical to the NumPy body of
+  :meth:`~repro.sim.batched.CompiledStageRouter.step` (label priority;
+  random priority keeps the NumPy step and its ``rng.permutation`` draw
+  protocol).
 
-* ``numba`` — :func:`_counts_loop` compiled by ``numba.njit(cache=True)``.
-  Preferred when numba is importable; ``pip install repro[native]`` pulls
-  it in.
-* ``cc`` — a C translation of the identical loop, *specialized to the
-  plan's stage shapes* (constants baked in, stages unrolled, branchless
-  per-wire path), compiled at first use with the host toolchain
-  (``cc``/``gcc``/``clang``), cached on disk by generated-source hash,
-  and called through :mod:`ctypes` (the GIL is released for the duration
-  of the call).  This keeps the native backend fast on numba-free hosts
-  that have a compiler.
+Both are pinned by the equivalence suites.  Each loop exists in two
+execution **tiers**, best available first:
+
+* ``numba`` — :func:`_counts_loop` / :func:`_step_loop` compiled by
+  ``numba.njit(cache=True)``.  Preferred when numba is importable;
+  ``pip install repro[native]`` pulls it in.
+* ``cc`` — C translations of the identical loops, compiled at first use
+  with the host toolchain (``cc``/``gcc``/``clang``), cached on disk by
+  generated-source hash, and called through :mod:`ctypes` (the GIL is
+  released for the duration of the call).  The counts kernel is
+  *specialized to the plan's stage shapes* (constants baked in, stages
+  unrolled, branchless per-wire path); the step kernel is generic —
+  it reads every stage constant from a lowered table — so a host
+  compiles it once per wire type, not once per plan.  This keeps the
+  native backend fast on numba-free hosts that have a compiler.
 
 Importing this module never hard-fails: with no accelerated tier the
 router degrades to the inherited NumPy kernels (the pure-NumPy shim), and
 the backend registry reports the backend unavailable with an error naming
 the ``[native]`` extra.
 
-The kernel consumes the existing plan data — per-stage shapes, link
+The kernels consume the existing plan data — per-stage shapes, link
 permutation tables (pre-composed with the fault remap for faulted
-stages), rank-space fault liveness, and the input permutation — packed
-once per plan into flat arrays (:func:`_lower`) and cached on the plan
-itself, so the warm path allocates nothing chunk-sized and forked sweep
-workers inherit both the lowered tables and the on-disk JIT caches.
+stages), rank-space fault liveness, and the input permutation for
+counts; the raw link tables and dead-slot masks for stepping — packed
+once per plan into flat arrays (:func:`_lower`, :func:`_lower_step`) and
+cached on the plan itself, so the warm path allocates nothing
+chunk-sized and forked sweep workers inherit both the lowered tables and
+the on-disk JIT caches.
 
 Every tier runs **one kernel thread per process**.  Parallelism comes
 from the process-level sweeps (``ParallelSweep``) and the service's
@@ -63,6 +76,7 @@ from repro.sim.batched import (
     _check_demand_shape,
     _check_destination_bounds,
 )
+from repro.sim.stagegraph import BufferedCycleOutcome
 
 __all__ = [
     "NativeStageRouter",
@@ -168,17 +182,141 @@ def _counts_loop(
         delivered[c] = deliv
 
 
-_numba_fn = None
+# One buffered cycle, in place on a BufferedState's three flat buffers
+# (layout built by :func:`_lower_step`):
+#   meta[i] = [width, fan_in_bits, shift, radix-1, capacity, bucket_wires,
+#              link_offset, dead_offset, column_offset]
+#   links   = concatenated raw link tables (offset -1 = identity)
+#   dead    = concatenated dead-slot masks of faulted stages (offset -1 =
+#             no faults)
+#   occ[w], qdest[w * depth + k], qstamp[w * depth + k] = the FIFO of
+#             global wire w (column i starts at column_offset)
+# Stages are serviced output side first.  Within a switch, contenders are
+# visited in wire-label order, and each bucket's ``cursor`` hands its
+# rank-r contender the r-th slot that is available: live, and before the
+# last column, feeding a next queue with room.  Once a contender finds
+# none, every later one in the bucket stays queued too.  A push lands on
+# a slot the cursor has passed, and no two slots feed the same next
+# queue, so a slot's room is read before anything changes it.
+# Deliveries are parked on their final slot (``yslot``, all -1 between
+# calls) and read back in slot order, insertion-sorting latencies within
+# each output: the canonical (output, latency) order.
+# res = [delivered, offered, injected].
 
 
-def _numba_loop():
-    """The numba-compiled loop (compiled once per process, disk-cached)."""
-    global _numba_fn
-    if _numba_fn is None:
+def _step_loop(
+    meta, links, dead, input_perm, depth, out_shift, t,
+    occ, qdest, qstamp, dests, cursor, yslot, out, lat, res,
+):
+    nstages = meta.shape[0]
+    last = nstages - 1
+    nslots = yslot.shape[0]
+    for i in range(last, -1, -1):
+        width = meta[i, 0]
+        fib = meta[i, 1]
+        shift = meta[i, 2]
+        rmask = meta[i, 3]
+        cap = meta[i, 4]
+        bw = meta[i, 5]
+        loff = meta[i, 6]
+        doff = meta[i, 7]
+        col = meta[i, 8]
+        ncol = 0
+        if i < last:
+            ncol = meta[i + 1, 8]
+        fan_in = 1 << fib
+        for sw in range(width >> fib):
+            for r in range(rmask + 1):
+                cursor[r] = 0
+            for k in range(fan_in):
+                w = col + (sw << fib) + k
+                if occ[w] == 0:
+                    continue
+                q = w * depth
+                d = qdest[q]
+                digit = (d >> shift) & rmask
+                base = sw * bw + digit * cap
+                j = cursor[digit]
+                nw = 0
+                while j < cap:
+                    y = base + j
+                    if doff >= 0 and dead[doff + y] != 0:
+                        j += 1
+                        continue
+                    if i == last:
+                        break
+                    nw = y
+                    if loff >= 0:
+                        nw = links[loff + y]
+                    nw += ncol
+                    if occ[nw] < depth:
+                        break
+                    j += 1
+                if j >= cap:
+                    cursor[digit] = cap
+                    continue
+                cursor[digit] = j + 1
+                stamp = qstamp[q]
+                for p in range(depth - 1):
+                    qdest[q + p] = qdest[q + p + 1]
+                    qstamp[q + p] = qstamp[q + p + 1]
+                occ[w] -= 1
+                if i == last:
+                    yslot[base + j] = t - stamp
+                else:
+                    p = nw * depth + occ[nw]
+                    qdest[p] = d
+                    qstamp[p] = stamp
+                    occ[nw] += 1
+    ndeliv = 0
+    for y in range(nslots):
+        lt = yslot[y]
+        if lt < 0:
+            continue
+        yslot[y] = -1
+        o = y >> out_shift
+        p = ndeliv
+        while p > 0 and out[p - 1] == o and lat[p - 1] > lt:
+            out[p] = out[p - 1]
+            lat[p] = lat[p - 1]
+            p -= 1
+        out[p] = o
+        lat[p] = lt
+        ndeliv += 1
+    offered = 0
+    injected = 0
+    has_perm = input_perm.shape[0] != 0
+    for s in range(dests.shape[0]):
+        d = dests[s]
+        if d < 0:
+            continue
+        offered += 1
+        w = s
+        if has_perm:
+            w = input_perm[s]
+        if occ[w] < depth:
+            p = w * depth + occ[w]
+            qdest[p] = d
+            qstamp[p] = t
+            occ[w] += 1
+            injected += 1
+    res[0] = ndeliv
+    res[1] = offered
+    res[2] = injected
+
+
+_numba_fns: dict = {}
+
+
+def _numba_loop(loop=_counts_loop):
+    """``loop`` compiled by numba (once per process, disk-cached)."""
+    fn = _numba_fns.get(loop)
+    if fn is None:
         import numba
 
-        _numba_fn = numba.njit(cache=True)(_counts_loop)
-    return _numba_fn
+        fn = numba.njit(cache=True)(loop)
+        _numba_fns[loop] = fn
+    return fn
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +606,149 @@ def _spec_kernel(tables, wire_dtype):
     return fn
 
 
+# The buffered step, translated statement for statement from
+# :func:`_step_loop`.  Unlike the counts kernel it is *generic*: every
+# per-stage constant is read from the lowered ``meta`` table at run time,
+# so a host compiles it once per wire type, not once per plan.  (The
+# slot search is data-dependent anyway, and a cycle touches each queued
+# packet once, so baked constants would buy little here.)
+_STEP_SOURCE = """#include <stdint.h>
+
+/* Buffered step kernel, wire type WIRE.  Generated by repro.sim.native
+ * from the _step_loop source it mirrors. */
+void repro_step(
+    const int64_t *restrict meta, int64_t nstages,
+    const int64_t *restrict links, const uint8_t *restrict dead,
+    const int64_t *restrict input_perm, int64_t has_perm,
+    int64_t depth, int64_t out_shift, int64_t t,
+    int64_t *restrict occ, WIRE *restrict qdest, int64_t *restrict qstamp,
+    const int64_t *restrict dests, int64_t n,
+    int64_t *restrict cursor,
+    int64_t *restrict yslot, int64_t nslots,
+    int64_t *restrict out, int64_t *restrict lat, int64_t *restrict res)
+{
+    int64_t last = nstages - 1;
+    for (int64_t i = last; i >= 0; i--) {
+        const int64_t *m = meta + i * 9;
+        int64_t width = m[0], fib = m[1], shift = m[2], rmask = m[3];
+        int64_t cap = m[4], bw = m[5], loff = m[6], doff = m[7], col = m[8];
+        int64_t ncol = 0;
+        if (i < last) ncol = meta[(i + 1) * 9 + 8];
+        int64_t fan_in = (int64_t)1 << fib;
+        for (int64_t sw = 0; sw < (width >> fib); sw++) {
+            for (int64_t r = 0; r <= rmask; r++) cursor[r] = 0;
+            for (int64_t k = 0; k < fan_in; k++) {
+                int64_t w = col + (sw << fib) + k;
+                if (occ[w] == 0) continue;
+                int64_t q = w * depth;
+                WIRE d = qdest[q];
+                int64_t digit = ((int64_t)d >> shift) & rmask;
+                int64_t base = sw * bw + digit * cap;
+                int64_t j = cursor[digit];
+                int64_t nw = 0;
+                while (j < cap) {
+                    int64_t y = base + j;
+                    if (doff >= 0 && dead[doff + y] != 0) {
+                        j++;
+                        continue;
+                    }
+                    if (i == last) break;
+                    nw = y;
+                    if (loff >= 0) nw = links[loff + y];
+                    nw += ncol;
+                    if (occ[nw] < depth) break;
+                    j++;
+                }
+                if (j >= cap) {
+                    cursor[digit] = cap;
+                    continue;
+                }
+                cursor[digit] = j + 1;
+                int64_t stamp = qstamp[q];
+                for (int64_t p = 0; p < depth - 1; p++) {
+                    qdest[q + p] = qdest[q + p + 1];
+                    qstamp[q + p] = qstamp[q + p + 1];
+                }
+                occ[w] -= 1;
+                if (i == last) {
+                    yslot[base + j] = t - stamp;
+                } else {
+                    int64_t p = nw * depth + occ[nw];
+                    qdest[p] = d;
+                    qstamp[p] = stamp;
+                    occ[nw] += 1;
+                }
+            }
+        }
+    }
+    int64_t ndeliv = 0;
+    for (int64_t y = 0; y < nslots; y++) {
+        int64_t lt = yslot[y];
+        if (lt < 0) continue;
+        yslot[y] = -1;
+        int64_t o = y >> out_shift;
+        int64_t p = ndeliv;
+        while (p > 0 && out[p - 1] == o && lat[p - 1] > lt) {
+            out[p] = out[p - 1];
+            lat[p] = lat[p - 1];
+            p--;
+        }
+        out[p] = o;
+        lat[p] = lt;
+        ndeliv++;
+    }
+    int64_t offered = 0, injected = 0;
+    for (int64_t s = 0; s < n; s++) {
+        int64_t d = dests[s];
+        if (d < 0) continue;
+        offered++;
+        int64_t w = s;
+        if (has_perm) w = input_perm[s];
+        if (occ[w] < depth) {
+            int64_t p = w * depth + occ[w];
+            qdest[p] = (WIRE)d;
+            qstamp[p] = t;
+            occ[w] += 1;
+            injected++;
+        }
+    }
+    res[0] = ndeliv;
+    res[1] = offered;
+    res[2] = injected;
+}
+
+/* The entry point: the argument list above packed into int64 words, so
+ * a once-per-cycle caller marshals one argument instead of twenty. */
+void repro_step_packed(const int64_t *a)
+{
+    repro_step(
+        (const int64_t *)a[0], a[1], (const int64_t *)a[2],
+        (const uint8_t *)a[3], (const int64_t *)a[4], a[5],
+        a[6], a[7], a[8],
+        (int64_t *)a[9], (WIRE *)a[10], (int64_t *)a[11],
+        (const int64_t *)a[12], a[13],
+        (int64_t *)a[14], (int64_t *)a[15], a[16],
+        (int64_t *)a[17], (int64_t *)a[18], (int64_t *)a[19]);
+}
+"""
+
+_step_fns: dict = {}
+
+
+def _step_kernel(wire_dtype):
+    """The generic compiled step kernel for one wire type (ctypes function)."""
+    ctype = _CTYPE[np.dtype(wire_dtype).char]
+    fn = _step_fns.get(ctype)
+    if fn is None:
+        source = _STEP_SOURCE.replace("WIRE", ctype)
+        lib = ctypes.CDLL(str(_build_shared_object(source, "repro_step")))
+        fn = lib.repro_step_packed
+        fn.restype = None
+        fn.argtypes = [ctypes.c_void_p]
+        _step_fns[ctype] = fn
+    return fn
+
+
 _C_PROBE = "long repro_probe(void) { return 42; }\n"
 
 _cc_error: Optional[str] = None
@@ -545,6 +826,7 @@ def unavailable_reason() -> Optional[str]:
 # ----------------------------------------------------------------------
 
 _META_WIDTH = 8
+_STEP_META_WIDTH = 9
 
 
 class _PlanTables:
@@ -625,10 +907,81 @@ def _lower(plan) -> _PlanTables:
     )
 
 
-class NativeKernel:
-    """One plan's fused counts kernel on one execution tier."""
+class _StepTables:
+    """The flat-array view of one buffered plan the step loops consume."""
 
-    __slots__ = ("tables", "tier", "wire", "_fn")
+    __slots__ = ("meta", "links", "dead", "input_perm", "out_shift",
+                 "radix_max", "nslots", "n_inputs")
+
+    def __init__(self, meta, links, dead, input_perm, out_shift, radix_max,
+                 nslots, n_inputs):
+        self.meta = meta
+        self.links = links
+        self.dead = dead
+        self.input_perm = input_perm
+        self.out_shift = out_shift
+        self.radix_max = radix_max
+        self.nslots = nslots
+        self.n_inputs = n_inputs
+
+
+def _lower_step(plan, tables: _PlanTables) -> _StepTables:
+    """Pack a buffered plan into the step layout (meta/links/dead).
+
+    Stepping grants *physical* slots, so it takes the raw link tables
+    and the dead-slot masks rather than the counts path's fault-remapped
+    links and rank-space liveness; the stage shapes and the input
+    permutation are shared with ``tables``.
+    """
+    g = plan.graph
+    meta = np.zeros((g.num_stages, _STEP_META_WIDTH), dtype=np.int64)
+    meta[:, :6] = tables.meta[:, :6]
+    link_parts, dead_parts = [], []
+    link_off = dead_off = col = 0
+    for i in range(g.num_stages):
+        link = plan.perm_table(i, np.int64)
+        if link is not None:
+            meta[i, 6] = link_off
+            link_parts.append(link)
+            link_off += link.size
+        else:
+            meta[i, 6] = -1
+        dead = plan.fault_dead_slots(i)
+        if dead is not None:
+            meta[i, 7] = dead_off
+            dead_parts.append(dead.astype(np.uint8))
+            dead_off += dead.size
+        else:
+            meta[i, 7] = -1
+        meta[i, 8] = col
+        col += plan.stage_widths[i]
+    links = (
+        np.concatenate(link_parts) if link_parts else np.zeros(1, dtype=np.int64)
+    )
+    dead = (
+        np.concatenate(dead_parts) if dead_parts else np.zeros(1, dtype=np.uint8)
+    )
+    return _StepTables(
+        meta=meta,
+        links=links,
+        dead=dead,
+        input_perm=tables.input_perm,
+        out_shift=g.out_shift,
+        radix_max=tables.radix_max,
+        nslots=g.n_outputs << g.out_shift,
+        n_inputs=g.n_inputs,
+    )
+
+
+class NativeKernel:
+    """One plan's fused kernels on one execution tier.
+
+    An unbuffered plan is lowered for the counts kernel; a buffered plan
+    (``buffer_depth`` set) is lowered for the step kernel, and builds
+    its counts kernel only if one is asked for.
+    """
+
+    __slots__ = ("tables", "step_tables", "tier", "wire", "_fn", "_step_fn")
 
     def __init__(self, plan, tier: str):
         if tier not in ("numba", "cc"):
@@ -636,10 +989,23 @@ class NativeKernel:
         self.tables = _lower(plan)
         self.tier = tier
         self.wire = plan.wire_dtype
-        if tier == "cc":
-            self._fn = _spec_kernel(self.tables, self.wire)
+        self._fn = self._step_fn = self.step_tables = None
+        if plan.buffer_depth is None:
+            self._counts_fn()
         else:
-            self._fn = _numba_loop()
+            self.step_tables = _lower_step(plan, self.tables)
+            if tier == "cc":
+                self._step_fn = _step_kernel(self.wire)
+            else:
+                self._step_fn = _numba_loop(_step_loop)
+
+    def _counts_fn(self):
+        if self._fn is None:
+            if self.tier == "cc":
+                self._fn = _spec_kernel(self.tables, self.wire)
+            else:
+                self._fn = _numba_loop()
+        return self._fn
 
     def counts(self, dests: np.ndarray, ws) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
@@ -664,8 +1030,9 @@ class NativeKernel:
         offered = np.empty(batch, dtype=np.int64)
         delivered = np.empty(batch, dtype=np.int64)
         blocked = np.empty((batch, nstages), dtype=np.int64)
+        fn = self._counts_fn()
         if self.tier == "cc":
-            self._fn(
+            fn(
                 dests.ctypes.data, batch, dests.shape[1],
                 t.meta.ctypes.data, nstages,
                 t.links.ctypes.data, t.falive.ctypes.data,
@@ -676,7 +1043,7 @@ class NativeKernel:
                 blocked.ctypes.data,
             )
         else:
-            self._fn(
+            fn(
                 dests, t.meta, t.links, t.falive, t.input_perm,
                 frontier, cnt, offered, delivered, blocked,
             )
@@ -688,6 +1055,72 @@ class NativeKernel:
             offered_per_cycle=offered,
             delivered_per_cycle=delivered,
             blocked_by_stage=blocked_by_stage,
+        )
+
+
+class _BoundStep:
+    """One kernel stepping one ``BufferedState`` of its plan's shape.
+
+    A buffered run calls the kernel once per cycle with a small demand
+    vector, so per-call argument marshalling is a large share of the
+    cost: the C call's argument list (table, state and scratch
+    addresses) is built here once, and each :meth:`step` only copies the
+    demand into a staging buffer and sets the clock.  Scratch is private
+    to the binding, like the state itself.
+    """
+
+    __slots__ = ("kernel", "state", "_fn", "_args", "_packed", "_clock",
+                 "_dests", "_out", "_lat", "_res")
+
+    def __init__(self, kernel: NativeKernel, state):
+        s = kernel.step_tables
+        n = s.n_inputs
+        sizes = (s.radix_max, s.nslots, s.nslots, s.nslots, 3, n)
+        cursor, yslot, out, lat, res, dests = np.split(
+            np.empty(sum(sizes), dtype=np.int64), np.cumsum(sizes)[:-1]
+        )
+        yslot.fill(-1)  # no delivery parked; the loop resets what it reads
+        self.kernel = kernel
+        self.state = state
+        self._fn = kernel._step_fn
+        self._out, self._lat, self._res, self._dests = out, lat, res, dests
+        if kernel.tier == "cc":
+            self._clock = 8
+            self._args = np.array([
+                s.meta.ctypes.data, s.meta.shape[0], s.links.ctypes.data,
+                s.dead.ctypes.data, s.input_perm.ctypes.data,
+                s.input_perm.size, state.depth, s.out_shift, 0,
+                state.occ_buf.ctypes.data, state.dest_buf.ctypes.data,
+                state.stamp_buf.ctypes.data, dests.ctypes.data, n,
+                cursor.ctypes.data, yslot.ctypes.data, s.nslots,
+                out.ctypes.data, lat.ctypes.data, res.ctypes.data,
+            ], dtype=np.int64)
+            self._packed = (self._args.ctypes.data,)
+        else:
+            self._clock = 6
+            self._args = [
+                s.meta, s.links, s.dead, s.input_perm, state.depth,
+                s.out_shift, 0, state.occ_buf, state.dest_buf,
+                state.stamp_buf, dests, cursor, yslot, out, lat, res,
+            ]
+            self._packed = None
+
+    def step(self, dests: np.ndarray, t: int) -> BufferedCycleOutcome:
+        """Advance the state one cycle at clock ``t``, in place.
+
+        ``dests`` must be a validated ``int64`` demand vector; label
+        priority only.  The loop writes its deliveries already in
+        canonical order.
+        """
+        np.copyto(self._dests, dests)
+        self._args[self._clock] = t
+        self._fn(*(self._packed or self._args))
+        delivered, offered, injected = self._res.tolist()
+        return BufferedCycleOutcome(
+            outputs=self._out[:delivered].copy(),
+            latencies=self._lat[:delivered].copy(),
+            offered=offered,
+            injected=injected,
         )
 
 
@@ -714,13 +1147,17 @@ def kernel_for(plan, tier: str) -> NativeKernel:
 
 
 class NativeStageRouter(CompiledStageRouter):
-    """:class:`CompiledStageRouter` with the counts hot path JIT-compiled.
+    """:class:`CompiledStageRouter` with its two hot paths JIT-compiled.
 
-    Only the label-priority counts-only kernel — the Monte-Carlo hot
-    path — is lowered; everything else (per-message outcomes, random
-    priority's sort-based resolution, buffered stepping, fault
-    hot-swapping) is inherited unchanged, so the native backend has the
-    full capability surface of ``batched`` with identical semantics.
+    Under label priority the counts-only kernel (the Monte-Carlo hot
+    path) and the buffered step are lowered.  The step itself stays
+    :meth:`CompiledStageRouter.step` — validation, then dispatch to the
+    kernel this router supplies for its current plan and state
+    (:meth:`_step_kernel`) — so a fault swap or buffer reset re-keys the
+    kernel.  Everything else (per-message outcomes, random priority's
+    sort-based resolution and draw protocol, fault hot-swapping) is
+    inherited unchanged, so the native backend has the full capability
+    surface of ``batched`` with identical semantics.
 
     ``tier="auto"`` (default) picks the best accelerated tier and
     degrades to the inherited NumPy kernels when none is available (the
@@ -745,6 +1182,7 @@ class NativeStageRouter(CompiledStageRouter):
             buffer_depth=buffer_depth,
         )
         self.tier = default_tier() if tier == "auto" else tier
+        self._bound_step = None
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
@@ -760,6 +1198,17 @@ class NativeStageRouter(CompiledStageRouter):
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
         ws = workspace if workspace is not None else self._plan.workspace()
         return kernel_for(self._plan, self.tier).counts(dests, ws)
+
+    def _step_kernel(self):
+        # Random priority keeps the NumPy step: its per-stage
+        # ``rng.permutation`` draws are part of the reference protocol.
+        if self.tier is None or self.priority != "label":
+            return None
+        kernel = kernel_for(self._plan, self.tier)
+        bound = self._bound_step
+        if bound is None or bound.kernel is not kernel or bound.state is not self._buffers:
+            bound = self._bound_step = _BoundStep(kernel, self._buffers)
+        return bound
 
     def __repr__(self) -> str:
         faulted = f", faults={len(self.faults)}" if self.faults else ""

@@ -458,33 +458,51 @@ class BufferedState:
     destination labels, injection-cycle stamps, and an occupancy count —
     which is exactly the layout the vectorized back-pressure kernels
     want: head reads are column 0, pops are one slice copy, pushes index
-    ``[wire, occupancy]``.  Unlike the immutable plan this state is
-    per-run and single-threaded; :meth:`StagePlan.buffered_state` hands
-    every run a fresh instance.
+    ``[wire, occupancy]``.  Each of the three lives in one contiguous
+    buffer (``occ_buf``, ``dest_buf``, ``stamp_buf``, columns laid out in
+    stage order); the per-stage lists are views into them, so a compiled
+    kernel steps the whole network from three base pointers.  Unlike the
+    immutable plan this state is per-run and single-threaded;
+    :meth:`StagePlan.buffered_state` hands every run a fresh instance.
     """
 
-    __slots__ = ("plan", "depth", "occupancy", "dests", "stamps")
+    __slots__ = (
+        "plan", "depth", "occ_buf", "dest_buf", "stamp_buf",
+        "occupancy", "dests", "stamps",
+    )
 
     def __init__(self, plan: StagePlan) -> None:
         if plan.buffer_depth is None:
             raise ConfigurationError("plan has no buffer depth")
         self.plan = plan
-        self.depth = plan.buffer_depth
+        self.depth = depth = plan.buffer_depth
         widths = plan.stage_widths
-        self.occupancy = [np.zeros(w, dtype=np.int64) for w in widths]
+        offsets = [0]
+        for w in widths:
+            offsets.append(offsets[-1] + w)
+        total = offsets[-1]
+        self.occ_buf = np.zeros(total, dtype=np.int64)
+        self.dest_buf = np.full(total * depth, -1, dtype=plan.wire_dtype)
+        self.stamp_buf = np.zeros(total * depth, dtype=np.int64)
+        spans = list(zip(offsets, offsets[1:]))
+        self.occupancy = [self.occ_buf[a:b] for a, b in spans]
         self.dests = [
-            np.full((w, self.depth), -1, dtype=plan.wire_dtype) for w in widths
+            self.dest_buf[a * depth:b * depth].reshape(b - a, depth)
+            for a, b in spans
         ]
-        self.stamps = [np.zeros((w, self.depth), dtype=np.int64) for w in widths]
+        self.stamps = [
+            self.stamp_buf[a * depth:b * depth].reshape(b - a, depth)
+            for a, b in spans
+        ]
 
     @property
     def num_queues(self) -> int:
         """Total FIFO queues across all stage boundaries."""
-        return sum(occ.size for occ in self.occupancy)
+        return self.occ_buf.size
 
     def total_occupancy(self) -> int:
         """Packets currently queued anywhere in the network."""
-        return int(sum(int(occ.sum()) for occ in self.occupancy))
+        return int(self.occ_buf.sum())
 
 
 # ----------------------------------------------------------------------

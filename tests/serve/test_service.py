@@ -519,3 +519,104 @@ class TestReconnectResume:
         with pytest.raises(ConnectionLost):
             with client:
                 client.submit(cells)
+
+
+class TestConnectionTeardown:
+    def test_cancel_during_graceful_close_stays_silent(self, capfd):
+        # Loop teardown may cancel a handler while it flushes and closes
+        # a connection the client already hung up on; that must end the
+        # handler quietly, like a cancel mid-read does.
+        import asyncio
+
+        from repro.serve.server import SimulationServer
+
+        class HungUpReader:
+            async def readline(self):
+                return b""
+
+        class StuckWriter:
+            closed = False
+
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                await asyncio.Event().wait()  # parks the handler here
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            server = SimulationServer("127.0.0.1:0", workers=1)
+            writer = StuckWriter()
+            task = loop.create_task(server._handle_connection(HungUpReader(), writer))
+            # CPython 3.11's stream protocol reads every handler task's
+            # exception() when it finishes, cancelled or not.
+            task.add_done_callback(lambda done: done.exception())
+            while not writer.closed:
+                await asyncio.sleep(0)
+            task.cancel()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            return task, errors
+
+        task, errors = asyncio.run(scenario())
+        assert task.done() and not task.cancelled()
+        assert errors == []
+        assert capfd.readouterr().err == ""
+
+    def test_connection_lost_mid_stream_closes_quietly(self, capfd):
+        # A client that vanishes while answers stream back breaks the
+        # pipe: the sender's drain fails and the next read raises.  Both
+        # end in the graceful close, with no unhandled or unretrieved
+        # error.
+        import asyncio
+
+        from repro.serve.protocol import encode_message
+        from repro.serve.server import SimulationServer
+
+        class VanishingReader:
+            calls = 0
+
+            async def readline(self):
+                self.calls += 1
+                if self.calls == 1:
+                    return encode_message({"type": "no-such-type"})
+                await asyncio.sleep(0.01)  # let the answer's drain fail first
+                raise BrokenPipeError(32, "Broken pipe")
+
+        class BrokenWriter:
+            closed = False
+            written = 0
+
+            def write(self, data):
+                self.written += 1
+
+            async def drain(self):
+                raise ConnectionResetError("Connection lost")
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                raise ConnectionResetError("Connection lost")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            server = SimulationServer("127.0.0.1:0", workers=1)
+            writer = BrokenWriter()
+            await server._handle_connection(VanishingReader(), writer)
+            return writer, errors
+
+        writer, errors = asyncio.run(scenario())
+        assert writer.written == 1 and writer.closed
+        assert errors == []
+        assert capfd.readouterr().err == ""

@@ -79,9 +79,11 @@ def native_counts(graph, runner, dests, monkeypatch, **router_kw):
         return NativeStageRouter(
             graph, tier=runner, **router_kw
         ).route_batch_counts(dests)
-    # The numba tier's code path with the loop left uncompiled, built
+    # The numba tier's code path with the loops left uncompiled, built
     # outside kernel_for so it never enters the plan's kernel cache.
-    monkeypatch.setattr(native, "_numba_loop", lambda: native._counts_loop)
+    monkeypatch.setattr(
+        native, "_numba_loop", lambda loop=native._counts_loop: loop
+    )
     plan = CompiledStageRouter(graph, **router_kw)._plan
     return NativeKernel(plan, "numba").counts(dests, plan.workspace())
 
